@@ -64,7 +64,13 @@ struct ImmOptions {
   /// identical either way, but bitmap_sets reports 0 there and dense
   /// sets occupy size·4 bytes instead of |V|/8.
   bool adaptive_representation = true;
-  /// Adaptive decrement-vs-rebuild counter update (§IV-C / Fig. 5).
+  /// Adaptive decrement-vs-rebuild counter update (§IV-C / Fig. 5):
+  /// after each pick, rebuild the counters from the surviving sets when
+  /// the seed covers more than half of them, else decrement over the
+  /// covered sets. The decrement finds those sets through the kernel's
+  /// vertex→set index (sparse sets) plus a scan of the dense sets, so it
+  /// costs O(covered + dense sets), never O(θ). False always decrements
+  /// (the non-adaptive ablation).
   bool adaptive_update = true;
   /// Stealing job pool instead of static partitions (§IV-C).
   bool dynamic_balance = true;

@@ -9,6 +9,9 @@ namespace eimm {
 
 using VertexId = std::uint32_t;
 using EdgeId = std::uint64_t;
+/// RRR-set (sketch) ids are dense [0, set count); 32 bits bounds a pool
+/// at ~4.3B sets, far above the 2^22 default generation cap.
+using SketchId = std::uint32_t;
 
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);

@@ -7,9 +7,8 @@ namespace eimm {
 RRRSet RRRSet::make_adaptive(std::vector<VertexId> vertices,
                              VertexId num_vertices,
                              double threshold_fraction) {
-  const auto threshold = static_cast<std::size_t>(
-      threshold_fraction * static_cast<double>(num_vertices));
-  if (vertices.size() >= threshold && num_vertices > 0) {
+  if (vertices.size() >= bitmap_cutoff(num_vertices, threshold_fraction) &&
+      num_vertices > 0) {
     return make_bitmap(vertices, num_vertices);
   }
   return make_vector(std::move(vertices));

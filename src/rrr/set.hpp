@@ -30,6 +30,15 @@ enum class RRRRepr { kVector, kBitmap, kCompressed };
 /// 1/32 equalizes the memory of the two encodings (4-byte id vs 1 bit).
 inline constexpr double kDefaultBitmapThreshold = 1.0 / 32.0;
 
+/// Member count at which a set over `num_vertices` vertices crosses to
+/// the bitmap side: sets of at least this size are dense.
+[[nodiscard]] inline std::size_t bitmap_cutoff(
+    VertexId num_vertices,
+    double threshold_fraction = kDefaultBitmapThreshold) noexcept {
+  return static_cast<std::size_t>(threshold_fraction *
+                                  static_cast<double>(num_vertices));
+}
+
 class RRRSet {
  public:
   RRRSet() = default;

@@ -55,7 +55,9 @@ enum class SelectionKernel { kEfficient, kRipples };
 /// The engine allocates the working counter layout (flat CounterArray or
 /// ShardedCounterArray replicas, matching its configuration) on FIRST
 /// use, then reset()s and reloads it from the fused base counters on
-/// every subsequent call; the per-set alive flags are likewise reused.
+/// every subsequent call; the per-set alive flags and the efficient
+/// kernel's CoverIndex buffers are likewise reused (the index is rebuilt
+/// per call into the kept capacity).
 /// counter_allocations() is the regression hook: one run_imm performs
 /// exactly one layout allocation across all probes plus the final
 /// selection.
@@ -82,6 +84,7 @@ class SelectionWorkspace {
   CounterArray flat_;
   ShardedCounterArray sharded_;
   std::vector<std::uint8_t> alive_;
+  CoverIndex cover_;
   std::uint64_t counter_allocations_ = 0;
   std::uint64_t reuses_ = 0;
 };
@@ -113,13 +116,13 @@ class SelectionEngine {
   /// non-null, holds the fused initial counters (kernel fusion,
   /// Algorithm 3); the engine copies them into its working layout and
   /// skips the initial build. `workspace`, when non-null, supplies the
-  /// working counter layout and alive flags: allocated on first use,
-  /// reset+reloaded on every later call — callers running repeated
-  /// selections (the martingale probe loop) pass one workspace so the
-  /// whole run performs a single layout allocation. The ripples kernel
-  /// ignores `base` and uses the workspace only for alive flags. Must
-  /// be called outside any OpenMP parallel region (the kernels spawn
-  /// their own).
+  /// working counter layout, alive flags and cover index: allocated on
+  /// first use, reset+reloaded on every later call — callers running
+  /// repeated selections (the martingale probe loop) pass one workspace
+  /// so the whole run performs a single layout allocation. The ripples
+  /// kernel ignores `base` and uses the workspace only for alive flags.
+  /// Must be called outside any OpenMP parallel region (the kernels
+  /// spawn their own).
   SelectionResult select(SelectionKernel kernel, const RRRPoolView& pool,
                          const SelectionOptions& options,
                          const CounterArray* base = nullptr,

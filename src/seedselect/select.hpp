@@ -13,28 +13,40 @@
 // 64-bit atomic counter; the arg-max is a two-step parallel reduction;
 // after each pick the counter is either decremented over covered sets or
 // rebuilt from the survivors — whichever touches fewer vertices
-// (§IV-C "Adaptive Vertex Occurrence Counter Update"). The kernel is
-// additionally templated on the Counters layout: the flat CounterArray
-// (the paper's shared atomic array) or the NUMA ShardedCounterArray
-// (per-domain replicas, updates to the caller's home replica, summed
-// hierarchical arg-max). Workers resolve a CounterSlab view once per
-// parallel region; both layouts produce bit-identical seed sequences.
+// (§IV-C "Adaptive Vertex Occurrence Counter Update"). The decrement
+// branch finds the covered sets without a scan over all θ: each call
+// splits the pool at the §IV-C bitmap crossover (bitmap_cutoff(|V|)).
+// Sparse sets (below it) go into a CSR vertex→set-id CoverIndex, so the
+// sets covering the seed are exactly index[seed]; dense sets (at or
+// above it) stay on a short scan list tested with contains(), a single
+// bit test for bitmap sets. A round's decrement therefore touches
+// |index[seed]| + |scan list| sets, not θ. Compressed pools index
+// nothing — every slot stays on the scan list, so their resident bytes
+// do not grow. The kernel is additionally templated on the Counters
+// layout: the flat CounterArray (the paper's shared atomic array) or the
+// NUMA ShardedCounterArray (per-domain replicas, updates to the caller's
+// home replica, summed hierarchical arg-max). Workers resolve a
+// CounterSlab view once per parallel region; both layouts produce
+// bit-identical seed sequences.
 //
 // Both kernels are templated on a Mem policy that observes every data
-// access (counters, set payloads); NullMem compiles to nothing, and
-// src/cachesim provides a tracing policy that feeds the L1/L2 model for
-// the Table IV reproduction. They are additionally templated on the Pool
-// storage: the legacy RRRPool or an RRRPoolView (rrr/pool_view.hpp) over
-// shard-local arena segments — the zero-copy hand-off from the sharded
-// sampler. Both kernels break counter ties toward the lowest vertex id,
-// so they return identical seed sequences on the same pool content,
-// whichever storage backs it — a cross-validation the test suite
-// enforces.
+// access (counters, set payloads, index reads); NullMem compiles to
+// nothing, and src/cachesim provides a tracing policy that feeds the
+// L1/L2 model for the Table IV reproduction. They are additionally
+// templated on the Pool storage: the legacy RRRPool or an RRRPoolView
+// (rrr/pool_view.hpp) over shard-local arena segments — the zero-copy
+// hand-off from the sharded sampler. Both kernels break counter ties
+// toward the lowest vertex id, so they return identical seed sequences
+// on the same pool content, whichever storage backs it — a
+// cross-validation the test suite enforces.
 #pragma once
 
 #include <omp.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -55,6 +67,22 @@ struct NullMem {
     EIMM_UNUSED(addr);
     EIMM_UNUSED(bytes);
   }
+};
+
+/// Vertex→set index the efficient kernel retires covered sets through,
+/// rebuilt at the start of every call. Sets below the bitmap crossover
+/// are listed under each of their members; the rest go on `scan`.
+/// Memory: 4 B per sparse member plus 8 B per vertex.
+struct CoverIndex {
+  /// |V|+1 CSR offsets into `sets`; empty when nothing is indexed.
+  std::vector<std::uint64_t> offsets;
+  /// Ids of the sparse sets containing each vertex, grouped by vertex.
+  std::vector<SketchId> sets;
+  /// Ids of the dense sets, ascending; tested with contains() per round.
+  std::vector<SketchId> scan;
+  /// Every slot is on the scan list (compressed pools); `scan` stays
+  /// empty and the kernel scans ids 0..θ-1 directly.
+  bool scan_all = false;
 };
 
 struct SelectionOptions {
@@ -82,6 +110,9 @@ struct SelectionOptions {
   /// own — the SelectionWorkspace reuse path for the martingale probe
   /// loop. Contents on return are the final alive flags.
   std::vector<std::uint8_t>* alive_scratch = nullptr;
+  /// Reusable CoverIndex storage for the efficient kernel, rebuilt from
+  /// scratch on every call (same reuse path; ignored by ripples).
+  CoverIndex* cover_scratch = nullptr;
 };
 
 struct SelectionResult {
@@ -147,6 +178,88 @@ bool contains_traced(const SetT& set, VertexId v) {
   return set.contains(v);
 }
 
+/// Builds `index` over `pool` (see CoverIndex). Two parallel passes over
+/// the sparse sets — count members per vertex, then scatter set ids
+/// through per-vertex atomic cursors — so the id order inside one
+/// vertex's run depends on the schedule; the decrement branch is
+/// order-independent (counter updates commute), so seeds do not.
+template <typename Mem, typename PoolT>
+void build_cover_index(const PoolT& pool, CoverIndex& index) {
+  const std::size_t num_sets = pool.size();
+  const VertexId n = pool.num_vertices();
+  index.sets.clear();
+  index.scan.clear();
+  index.scan_all = false;
+  if constexpr (requires { pool.compressed(); }) {
+    index.scan_all = pool.compressed();
+  }
+  if (index.scan_all) {
+    index.offsets.clear();
+    return;
+  }
+
+  const std::size_t cutoff = bitmap_cutoff(n);
+  index.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  std::uint64_t* offsets = index.offsets.data();
+  // Calls fn once per distinct member: a vector set listing a vertex
+  // twice must still appear once in that vertex's run.
+  const auto for_each_distinct = [](const auto& set, auto&& fn) {
+    VertexId prev = kInvalidVertex;
+    for_each_traced<Mem>(set, [&](VertexId v) {
+      if (v == prev) return;
+      prev = v;
+      fn(v);
+    });
+  };
+
+  // Pass 1: member counts into offsets[v + 1]; dense ids onto per-thread
+  // lists. A static schedule gives each thread one ascending block, in
+  // thread order, so concatenating the lists keeps the scan list sorted.
+  std::vector<std::vector<SketchId>> dense(
+      static_cast<std::size_t>(omp_get_max_threads()));
+#pragma omp parallel
+  {
+    std::vector<SketchId>& mine =
+        dense[static_cast<std::size_t>(omp_get_thread_num())];
+#pragma omp for schedule(static)
+    for (std::size_t i = 0; i < num_sets; ++i) {
+      const auto& set = pool[i];
+      if (set.size() >= cutoff) {
+        mine.push_back(static_cast<SketchId>(i));
+        continue;
+      }
+      for_each_distinct(set, [&](VertexId v) {
+        Mem::touch(offsets + v + 1, sizeof(std::uint64_t));
+        std::atomic_ref<std::uint64_t>(offsets[v + 1])
+            .fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  }
+  for (const std::vector<SketchId>& part : dense) {
+    index.scan.insert(index.scan.end(), part.begin(), part.end());
+  }
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  index.sets.resize(offsets[n]);
+
+  // Pass 2: offsets[v] is v's write cursor; after the scatter it holds
+  // v's end, i.e. offsets[v + 1]'s start — shift back by one slot.
+  SketchId* sets = index.sets.data();
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < num_sets; ++i) {
+    const auto& set = pool[i];
+    if (set.size() >= cutoff) continue;
+    for_each_distinct(set, [&](VertexId v) {
+      Mem::touch(offsets + v, sizeof(std::uint64_t));
+      const std::uint64_t pos = std::atomic_ref<std::uint64_t>(offsets[v])
+                                    .fetch_add(1, std::memory_order_relaxed);
+      Mem::touch(sets + pos, sizeof(SketchId));
+      sets[pos] = static_cast<SketchId>(i);
+    });
+  }
+  std::move_backward(offsets, offsets + n, offsets + n + 1);
+  offsets[0] = 0;
+}
+
 /// Arg-max over either counter layout. The production path uses the
 /// layout's parallel reduction (two-step flat, hierarchical sharded);
 /// the traced path scans serially so every counter read reaches the
@@ -185,6 +298,8 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
   const VertexId n = pool.num_vertices();
   EIMM_CHECK(counters.size() >= n, "counter array smaller than vertex count");
   EIMM_CHECK(options.k > 0, "k must be positive");
+  EIMM_CHECK(num_sets < std::numeric_limits<SketchId>::max(),
+             "pool too large for 32-bit set ids");
   const std::uint8_t* eligible = nullptr;
   if (options.eligible != nullptr) {
     // The arg-max scans the whole counter array, so the mask must cover
@@ -203,6 +318,13 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
   std::vector<std::uint8_t>& alive =
       options.alive_scratch != nullptr ? *options.alive_scratch : own_alive;
   alive.assign(num_sets, 1);
+
+  CoverIndex own_cover;
+  CoverIndex& cover =
+      options.cover_scratch != nullptr ? *options.cover_scratch : own_cover;
+  detail::build_cover_index<Mem>(pool, cover);
+  const std::size_t scan_count =
+      cover.scan_all ? num_sets : cover.scan.size();
 
   const auto workers = static_cast<std::size_t>(omp_get_max_threads());
 
@@ -284,24 +406,47 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
         }
       }
     } else {
-      // Decrement: remove each covered set's contribution. Under the
-      // sharded layout the decrement lands on the DECREMENTING thread's
-      // home replica — possibly not the one the matching increment hit;
-      // the summed view stays exact either way (modular arithmetic, see
-      // atomic_counters.hpp), which is what makes the §IV-C adaptive
-      // update shard-layout-agnostic.
+      // Decrement: remove each covered set's contribution. The covered
+      // sparse sets are exactly index[seed]; dense ones are found by
+      // testing the scan list. Under the sharded layout the decrement
+      // lands on the DECREMENTING thread's home replica — possibly not
+      // the one the matching increment hit; the summed view stays exact
+      // either way (modular arithmetic, see atomic_counters.hpp), which
+      // is what makes the §IV-C adaptive update shard-layout-agnostic.
+      std::uint64_t first = 0;
+      std::uint64_t last = 0;
+      if (!cover.scan_all && seed < n) {
+        Mem::touch(cover.offsets.data() + seed, 2 * sizeof(std::uint64_t));
+        first = cover.offsets[seed];
+        last = cover.offsets[seed + 1];
+      }
 #pragma omp parallel
       {
         CounterSlab slab = counters.local();
-#pragma omp for schedule(dynamic, 16)
-        for (std::size_t i = 0; i < num_sets; ++i) {
-          if (!alive[i]) continue;
-          if (!detail::contains_traced<Mem>(pool[i], seed)) continue;
+        const auto retire = [&](std::size_t i) {
           alive[i] = 0;
           detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
             Mem::touch(&counters, sizeof(std::uint64_t));
             slab.decrement(v);
           });
+        };
+        // Sparse and dense sets are disjoint, so the two loops never
+        // retire the same set and need no barrier between them.
+#pragma omp for schedule(dynamic, 16) nowait
+        for (std::uint64_t j = first; j < last; ++j) {
+          Mem::touch(cover.sets.data() + j, sizeof(SketchId));
+          const std::size_t i = cover.sets[j];
+          if (alive[i]) retire(i);
+        }
+#pragma omp for schedule(dynamic, 16)
+        for (std::size_t j = 0; j < scan_count; ++j) {
+          if (!cover.scan_all) {
+            Mem::touch(cover.scan.data() + j, sizeof(SketchId));
+          }
+          const std::size_t i = cover.scan_all ? j : cover.scan[j];
+          if (!alive[i]) continue;
+          if (!detail::contains_traced<Mem>(pool[i], seed)) continue;
+          retire(i);
         }
       }
     }

@@ -81,10 +81,6 @@
 
 namespace eimm {
 
-/// Sketch ids are dense [0, num_sketches); 32 bits bounds a store at
-/// ~4.3B sketches, far above the 2^22 default generation cap.
-using SketchId = std::uint32_t;
-
 /// Build provenance carried in every snapshot: enough to reproduce the
 /// store (workload + seed + accuracy) and to label benchmark output.
 struct SketchStoreMeta {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "runtime/thread_info.hpp"
 #include "test_util.hpp"
 #include "workloads/registry.hpp"
 
@@ -26,6 +30,83 @@ TEST(TracedSelection, SeedsMatchUntracedKernels) {
   const auto traced =
       run_traced_selection(Engine::kEfficient, pool, 5, /*threads=*/2);
   EXPECT_EQ(traced.selection.seeds, untraced.seeds);
+}
+
+// LT sampling yields short sets: every one sits below the bitmap
+// crossover, so the efficient kernel retires covered sets purely
+// through its vertex→set index.
+RRRPool lt_pool() {
+  const DiffusionGraph g = make_workload_with_weights(
+      "as-Skitter", DiffusionModel::kLinearThreshold, 0.02, 5);
+  return testing::sample_pool(g, DiffusionModel::kLinearThreshold, 3000, 91,
+                              /*adaptive=*/true);
+}
+
+TEST(TracedSelection, IndexPathSeedsMatchUntracedOnLtPool) {
+  const RRRPool pool = lt_pool();
+  const std::size_t cutoff = bitmap_cutoff(pool.num_vertices());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    ASSERT_LT(pool[i].size(), cutoff) << "set " << i;
+  }
+  SelectionOptions options;
+  options.k = 10;
+  options.dynamic_balance = false;
+  CounterArray counters(pool.num_vertices());
+  const auto untraced = efficient_select(pool, counters, options);
+  ASSERT_EQ(untraced.seeds.size(), 10u);
+
+  for (const int threads : {1, 3}) {
+    const auto traced =
+        run_traced_selection(Engine::kEfficient, pool, 10, threads);
+    EXPECT_EQ(traced.selection.seeds, untraced.seeds) << threads;
+    EXPECT_EQ(traced.selection.marginal_coverage, untraced.marginal_coverage)
+        << threads;
+    EXPECT_GT(traced.cache.accesses, 0u);
+  }
+}
+
+/// Records every touched address (single-threaded use only).
+struct RecordingMem {
+  static constexpr bool kTracing = true;
+  static inline std::vector<const void*> touched;
+  static void touch(const void* addr, std::size_t /*bytes*/) noexcept {
+    touched.push_back(addr);
+  }
+};
+
+TEST(TracedSelection, TouchesFollowTheIndexWalk) {
+  const RRRPool pool = lt_pool();
+  ThreadCountScope scope(1);
+  SelectionOptions options;
+  options.k = 10;
+  options.adaptive_update = false;  // every round walks the index
+  CoverIndex cover;
+  options.cover_scratch = &cover;
+  CounterArray counters(pool.num_vertices());
+  RecordingMem::touched.clear();
+  const auto traced = efficient_select_t<RecordingMem>(pool, counters,
+                                                       options);
+  CounterArray fresh(pool.num_vertices());
+  options.cover_scratch = nullptr;
+  EXPECT_EQ(traced.seeds, efficient_select(pool, fresh, options).seeds);
+
+  // Every id slot of the index was written during the build; the
+  // decrement rounds then read back the runs of the picked seeds.
+  const auto in = [](const void* p, const auto& buffer) {
+    const auto* base = reinterpret_cast<const std::uint8_t*>(buffer.data());
+    const auto* at = static_cast<const std::uint8_t*>(p);
+    return at >= base &&
+           at < base + buffer.size() * sizeof(*buffer.data());
+  };
+  std::uint64_t id_touches = 0;
+  std::uint64_t offset_touches = 0;
+  for (const void* p : RecordingMem::touched) {
+    if (in(p, cover.sets)) ++id_touches;
+    if (in(p, cover.offsets)) ++offset_touches;
+  }
+  ASSERT_FALSE(cover.sets.empty());
+  EXPECT_GT(id_touches, cover.sets.size());
+  EXPECT_GE(offset_touches, 2 * cover.sets.size());
 }
 
 TEST(TracedSelection, RipplesSeedsMatchToo) {

@@ -7,6 +7,7 @@
 //
 // Run just this harness with `ctest -L chaos`.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -41,6 +42,14 @@ const SketchStore& shared_store() {
     return SketchStore::build(g, options, "amazon-chaos");
   }();
   return store;
+}
+
+// Each test runs as its own process under parallel ctest, so every file
+// a test writes carries the pid: one process rewriting a snapshot must
+// never tear another's reads.
+std::string per_process_path(const std::string& name) {
+  return ::testing::TempDir() + "/eimm_chaos_" + name + "_" +
+         std::to_string(::getpid()) + ".sks";
 }
 
 struct ChaosTally {
@@ -107,10 +116,8 @@ class ChaosFixture : public ::testing::Test {
     }
     ServerOptions options;
     options.socket_path = ::testing::TempDir() + "/eimm_chaos_" +
-                          std::to_string(::testing::UnitTest::GetInstance()
-                                             ->random_seed()) +
-                          ".sock";
-    snapshot_path_ = ::testing::TempDir() + "/eimm_chaos_store.sks";
+                          std::to_string(::getpid()) + ".sock";
+    snapshot_path_ = per_process_path("store");
     shared_store().save_file(snapshot_path_);
     options.snapshot_path = snapshot_path_;
     server_ = std::make_unique<SketchServer>(shared_store(), options);
@@ -184,9 +191,16 @@ TEST_F(ChaosFixture, ReloadStormNeverFailsInFlightQueries) {
   // Plain single-shot clients — no retry shield. The epoch handoff
   // alone must keep every query correct while generations churn.
   std::atomic<bool> done{false};
+  // A typed error escaping the thread would terminate the process; count
+  // it instead, and require that none happened.
+  std::atomic<std::uint64_t> failed_reloads{0};
   std::thread reloader([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      server_->reload_from();  // re-reads the configured snapshot
+      try {
+        server_->reload_from();  // re-reads the configured snapshot
+      } catch (const CheckError&) {
+        failed_reloads.fetch_add(1, std::memory_order_relaxed);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -202,6 +216,7 @@ TEST_F(ChaosFixture, ReloadStormNeverFailsInFlightQueries) {
   // No fault injection here: with nothing armed, every single query
   // must succeed despite the generation churn.
   EXPECT_EQ(tally.correct.load(), 4u * 8u);
+  EXPECT_EQ(failed_reloads.load(), 0u);
   EXPECT_GT(server_->generation(), 1u);
 }
 
@@ -209,8 +224,7 @@ TEST_F(ChaosFixture, CorruptReloadUnderLoadKeepsServing) {
   // A corrupt replacement snapshot keeps getting pushed while clients
   // query: every reload must fail cleanly, every query must answer from
   // the surviving generation.
-  const std::string corrupt_path =
-      ::testing::TempDir() + "/eimm_chaos_corrupt.sks";
+  const std::string corrupt_path = per_process_path("corrupt");
   {
     std::ifstream is(snapshot_path_, std::ios::binary);
     std::ostringstream buf;
