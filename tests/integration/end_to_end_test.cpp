@@ -16,6 +16,13 @@ struct EndToEndCase {
   DiffusionModel model;
 };
 
+// Without this gtest prints the case as raw bytes, and the bytes of the
+// std::string hold a heap pointer, so the test names CTest discovers
+// (which carry the "# GetParam() = ..." text) changed with every build.
+void PrintTo(const EndToEndCase& c, std::ostream* os) {
+  *os << c.workload << '/' << to_string(c.model);
+}
+
 class EndToEnd : public ::testing::TestWithParam<EndToEndCase> {};
 
 TEST_P(EndToEnd, ProducesUsefulSeeds) {
