@@ -46,6 +46,9 @@ class VisitScratch {
   }
   void mark(VertexId v) noexcept { stamp_[v] = epoch_; }
   [[nodiscard]] std::size_t size() const noexcept { return stamp_.size(); }
+  /// Raw stamp array (size() entries): a vertex is visited when its stamp
+  /// equals epoch(). The vector IC kernels gather from it directly.
+  [[nodiscard]] std::uint32_t* stamps() noexcept { return stamp_.data(); }
 
   /// Current epoch; 0 only before the first new_round().
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
@@ -93,10 +96,48 @@ std::vector<VertexId> sample_rrr_lt(const CSRGraph& reverse, VertexId root,
                                     Xoshiro256& rng, Scratch& scratch);
 
 /// Model dispatch with deterministic per-index stream: root is chosen
-/// uniformly from |V| using the stream's first draw.
+/// uniformly from |V| using the stream's first draw. IC runs the widest
+/// vector tier of sample_rrr_ic the host supports (see detail::IcKernel);
+/// every tier returns the scalar template's set, member for member, and
+/// leaves `rng` where the scalar template would.
 std::vector<VertexId> sample_rrr(const CSRGraph& reverse, DiffusionModel model,
                                  std::uint64_t base_seed, std::uint64_t index,
                                  SamplerScratch& scratch);
+
+namespace detail {
+
+/// ISA tiers of the IC kernel. The vector tiers test a block of
+/// in-neighbours at once: they gather the block's visit stamps, compare
+/// them with the epoch, and then walk only the unseen lanes in adjacency
+/// order, drawing each coin exactly where the scalar loop does.
+enum class IcKernel : std::uint8_t {
+  kScalar,  // sample_rrr_ic<NullProbe>
+  kAvx2,    // 8 in-neighbours per gather
+  kAvx512,  // 16 in-neighbours per gather
+};
+
+[[nodiscard]] const char* to_string(IcKernel kernel) noexcept;
+
+/// True when this build and the host CPU can run `kernel`. kScalar is
+/// always supported; the vector tiers need an x86-64 build.
+[[nodiscard]] bool ic_kernel_supported(IcKernel kernel) noexcept;
+
+/// The tier sample_rrr uses for an IC graph of `num_vertices` vertices:
+/// the widest supported tier, picked once per process, or kScalar when
+/// vertex ids do not fit the gathers' signed 32-bit indices.
+[[nodiscard]] IcKernel ic_kernel_for(std::uint64_t num_vertices) noexcept;
+
+/// The vector tiers as plain entry points, for the kernel identity
+/// tests. Preconditions: ic_kernel_supported() holds for the tier, and
+/// reverse.num_vertices() <= INT32_MAX.
+std::vector<VertexId> sample_rrr_ic_avx2(const CSRGraph& reverse,
+                                         VertexId root, Xoshiro256& rng,
+                                         SamplerScratch& scratch);
+std::vector<VertexId> sample_rrr_ic_avx512(const CSRGraph& reverse,
+                                           VertexId root, Xoshiro256& rng,
+                                           SamplerScratch& scratch);
+
+}  // namespace detail
 
 // --- template definitions ---
 
@@ -106,13 +147,11 @@ std::vector<VertexId> sample_rrr_ic(const CSRGraph& reverse, VertexId root,
   scratch.visited.new_round();
   scratch.frontier.clear();
 
-  std::vector<VertexId> result;
-  result.push_back(root);
   scratch.visited.mark(root);
   scratch.frontier.push_back(root);
 
-  // BFS with an index cursor instead of pop_front (frontier doubles as
-  // the visit log).
+  // BFS with an index cursor instead of pop_front: the frontier doubles
+  // as the visit log, so it is also the returned set.
   for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
     const VertexId u = scratch.frontier[head];
     const auto neighbors = reverse.neighbors(u);
@@ -124,12 +163,12 @@ std::vector<VertexId> sample_rrr_ic(const CSRGraph& reverse, VertexId root,
       if (!seen && rng.next_bool(probs[i])) {
         Probe::on_visited_access(w);
         scratch.visited.mark(w);
-        result.push_back(w);
         scratch.frontier.push_back(w);
       }
     }
   }
-  return result;
+  return std::vector<VertexId>(scratch.frontier.begin(),
+                               scratch.frontier.end());
 }
 
 template <typename Probe, typename Scratch>

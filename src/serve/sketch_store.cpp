@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <sstream>
 #include <utility>
+
+#include <unistd.h>
 
 #include "diffusion/model.hpp"
 #include "io/binary.hpp"
@@ -625,10 +628,22 @@ bool operator==(const SketchStore& a, const SketchStore& b) {
 
 void SketchStore::save_file(const std::string& path,
                             SnapshotSaveOptions options) const {
-  std::ofstream os(path, std::ios::binary);
-  EIMM_CHECK(os.good(), "cannot open snapshot file for writing");
-  save(os, options);
-  EIMM_CHECK(os.good(), "snapshot write failed");
+  // Write beside the target, then rename(2) over it: a server that maps
+  // the old file keeps the old inode, where truncating the file in place
+  // would SIGBUS it on the next page it touches.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    EIMM_CHECK(os.good(), "cannot open snapshot file for writing");
+    save(os, options);
+    os.close();
+    EIMM_CHECK(!os.fail(), "snapshot write failed");
+    EIMM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+               "cannot move the snapshot over its target");
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 void SketchStore::validate_structure() const {

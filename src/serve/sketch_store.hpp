@@ -284,6 +284,10 @@ class SketchStore {
   /// Writes the page-aligned section-table format: v2 by default, v3
   /// (compressed payload) when options.compress is set.
   void save(std::ostream& os, SnapshotSaveOptions options = {}) const;
+  /// save() into `<path>.tmp.<pid>`, then rename(2) over `path`, so stores
+  /// mapped from the old file keep serving it. The temp file is removed
+  /// when any step fails. No fsync: the rename is atomic against readers,
+  /// not durable against a power cut.
   void save_file(const std::string& path,
                  SnapshotSaveOptions options = {}) const;
   /// Compatibility writer for the legacy v1 stream format (exercises the

@@ -7,12 +7,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
@@ -300,6 +304,60 @@ TEST(MmapSnapshot, MappedStoreSurvivesMove) {
                          before.end()));
   EXPECT_TRUE(second == built);
   EXPECT_TRUE(second.load_stats().mmap_backed);
+}
+
+TEST(MmapSnapshot, SavingOverAMappedSnapshotKeepsTheOldGeneration) {
+  // save_file replaces the target by rename, so a store mapped from the
+  // old file keeps reading the old inode. An in-place rewrite would
+  // truncate the pages under the mapping and SIGBUS its next read.
+  const std::string path = snapshot_path(
+      ("eimm_mmap_overwrite." + std::to_string(::getpid()) + ".sks").c_str());
+  const SketchStore old_store = make_store();
+  old_store.save_file(path);
+  SnapshotLoadOptions map_options;
+  map_options.mode = SnapshotLoadMode::kMap;
+  const SketchStore mapped = SketchStore::load_file(path, map_options);
+  ASSERT_TRUE(mapped.load_stats().mmap_backed);
+  const std::vector<VertexId> old_seeds = QueryEngine(mapped).top_k(6).seeds;
+
+  const DiffusionGraph g = make_workload_with_weights(
+      "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
+  ImmOptions options;
+  options.k = 5;
+  options.max_rrr_sets = 2048;
+  const SketchStore new_store =
+      SketchStore::build(g, options, "dblp-overwrite");
+  new_store.save_file(path);
+
+  // The mapped store reads every one of its pages and still matches the
+  // generation it was loaded from.
+  EXPECT_TRUE(mapped == old_store);
+  EXPECT_EQ(QueryEngine(mapped).top_k(6).seeds, old_seeds);
+
+  const SketchStore fresh = SketchStore::load_file(path, map_options);
+  EXPECT_TRUE(fresh == new_store);
+  EXPECT_FALSE(fresh == old_store);
+  EXPECT_EQ(fresh.meta().workload, "dblp-overwrite");
+  EXPECT_EQ(fresh.load_stats().file_bytes, read_file(path).size());
+
+  // The temp file was renamed away, not left beside the target.
+  EXPECT_FALSE(std::ifstream(path + ".tmp." + std::to_string(::getpid())));
+  std::remove(path.c_str());
+}
+
+TEST(MmapSnapshot, FailedSaveLeavesNoTempFileAndKeepsTheTarget) {
+  // The rename cannot replace a directory, so the save fails after the
+  // temp file is fully written; it must clean the temp file up.
+  const std::string dir = snapshot_path(
+      ("eimm_mmap_dir_target." + std::to_string(::getpid())).c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const SketchStore store = make_store();
+  EXPECT_THROW(store.save_file(dir), CheckError);
+  EXPECT_FALSE(std::ifstream(dir + ".tmp." + std::to_string(::getpid())));
+  struct stat st {};
+  ASSERT_EQ(::stat(dir.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISDIR(st.st_mode));
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace
