@@ -14,6 +14,11 @@
 // footprint/throughput contract: every compressed backing must shrink
 // pool bytes >= 2x, varint (the EIMM_POOL_COMPRESS=1 default) must keep
 // the selection slowdown <= 2.5x, huffman <= 4x.
+// "Select s" is PhaseBreakdown::selection_seconds: every greedy call of
+// the run, i.e. the probes alone when the final selection reuses the
+// last probe. Every backing sees the same θ trajectory, so reuse happens
+// in all rows or none; raw pools extend their cover index per probe,
+// compressed ones index nothing.
 // Emits a human table plus machine-readable BENCH_compressed.json.
 //
 // The default configuration (LT walks over com-LJ) is the sparse-set

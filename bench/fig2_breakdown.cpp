@@ -3,7 +3,10 @@
 // Splits each Ripples-strategy run into Generate_RRRsets vs
 // Find_Most_Influential_Set vs other, across the thread sweep and both
 // models. The paper's point: the two kernels dominate, and the selection
-// share *grows* with the thread count (it stops scaling first).
+// share *grows* with the thread count (it stops scaling first). The
+// Ripples engine selects again after the probes, so FindMostInfluential
+// always includes a final selection here (the efficient engine may reuse
+// its last probe instead; see PhaseBreakdown).
 #include <cstdio>
 #include <iostream>
 

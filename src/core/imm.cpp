@@ -3,7 +3,9 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
+#include <utility>
 
 #include "core/martingale.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +16,7 @@
 #include "rrr/pool.hpp"
 #include "rrr/sharded.hpp"
 #include "seedselect/engine.hpp"
+#include "support/env.hpp"
 #include "support/macros.hpp"
 #include "support/timer.hpp"
 
@@ -156,6 +159,7 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
 
   PoolBuild build;
   build.pool = RRRPool(n);
+  build.workspace.bind_append_only();
   if (use_fusion) {
     build.base_counters = CounterArray(n, policy);
     build.counters_prebuilt = true;
@@ -251,7 +255,8 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   auto probe_coverage = [&]() -> double {
     ScopedAccumulator acc(build.probing_selection_seconds);
     obs::TraceSpan span("selection.probe");
-    return select_over_build(build, options, engine).coverage_fraction();
+    build.last_probe = select_over_build(build, options, engine);
+    return build.last_probe.coverage_fraction();
   };
 
   // --- Sampling phase: probe OPT guesses x_i = n / 2^i, then Set Theta ---
@@ -281,18 +286,36 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   breakdown.selection_seconds = build.probing_selection_seconds;
 
   // --- Selection phase ---
+  // Set Theta usually asks for no more sets than the probes already
+  // drew. The final selection would then rerun the last probe: same
+  // pool, same options, same seeds — so the efficient engine returns
+  // that probe. A topped-up pool is selected over again, indexing only
+  // the appended sets.
+  const bool reuse = engine == Engine::kEfficient &&
+                     !build.iterations.empty() &&
+                     build.last_probe.total_sets == view.size();
   SelectionResult final_selection;
   {
     ScopedAccumulator acc(breakdown.selection_seconds);
     obs::TraceSpan span("selection.final", "k",
-                        static_cast<std::int64_t>(options.k));
-    final_selection = select_over_build(build, options, engine);
+                        static_cast<std::int64_t>(options.k), "reused",
+                        reuse ? 1 : 0);
+    final_selection = reuse ? std::move(build.last_probe)
+                            : select_over_build(build, options, engine);
+  }
+  if (reuse && env_bool("EIMM_VERBOSE", false)) {
+    std::fprintf(stderr,
+                 "[eimm selection] final selection reused the last probe "
+                 "(%zu sets)\n",
+                 view.size());
   }
   core_metrics().runs.add();
 
   ImmResult result;
   result.iterations = std::move(build.iterations);
-  result.seeds = final_selection.seeds;
+  result.seeds = std::move(final_selection.seeds);
+  result.marginal_coverage = std::move(final_selection.marginal_coverage);
+  result.covered_sets = final_selection.covered_sets;
   result.coverage_fraction = final_selection.coverage_fraction();
   result.estimated_spread =
       static_cast<double>(n) * result.coverage_fraction;
@@ -307,6 +330,7 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.fused_sampling_used = build.fused_sampling_used;
   result.counter_shards_used = resolved_counter_shards(options, engine);
   result.counter_layout_allocations = build.workspace.counter_allocations();
+  result.final_selection_reused = reuse;
   result.staged_bytes = build.shard_stats.staged_bytes;
   result.mapped_bytes = build.shard_stats.mapped_bytes;
   result.merged_bytes = build.shard_stats.merged_bytes;

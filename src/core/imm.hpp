@@ -127,6 +127,12 @@ struct ImmOptions {
 };
 
 /// Wall-clock attribution matching the paper's Fig. 2 breakdown.
+///
+/// selection_seconds covers every Find_Most_Influential_Set call the run
+/// made: the martingale probes plus the final selection. When the
+/// efficient engine reuses the last probe as the final selection
+/// (ImmResult::final_selection_reused), no final call is made and the
+/// figure counts the probes only — the same greedy work, done once.
 struct PhaseBreakdown {
   double sampling_seconds = 0.0;    // Generate_RRRsets (all rounds)
   double selection_seconds = 0.0;   // Find_Most_Influential_Set (all calls)
@@ -139,6 +145,10 @@ struct PhaseBreakdown {
 
 struct ImmResult {
   std::vector<VertexId> seeds;
+  /// Marginal coverage of each seed at pick time, and the sets the whole
+  /// seed set covers — the final selection's SelectionResult fields.
+  std::vector<std::uint64_t> marginal_coverage;
+  std::uint64_t covered_sets = 0;
   /// F(S) over the final pool.
   double coverage_fraction = 0.0;
   /// n · F(S): the unbiased influence-spread estimate.
@@ -162,6 +172,12 @@ struct ImmResult {
   /// test pins it); the ripples kernel owns its thread-local counters
   /// internally, so kRipples runs report 0.
   std::uint64_t counter_layout_allocations = 0;
+  /// The final selection is the last martingale probe's, returned as is:
+  /// Set Theta appended no sets after that probe, so a second greedy pass
+  /// would have run over the same pool with the same options. Only the
+  /// efficient engine reuses; Ripples runs reselect, as the paper's
+  /// baseline does.
+  bool final_selection_reused = false;
   /// Sharded-pipeline byte accounting (all zero when shards_used == 1):
   /// payload staged into arenas, arena bytes mapped, and payload copied
   /// at merge — the zero-copy view path keeps merged_bytes at 0.
@@ -212,8 +228,13 @@ struct PoolBuild {
   bool counters_prebuilt = false;
   /// Reusable selection scratch, shared by the probing rounds and —
   /// when run_imm drives the build — the final selection, so one run
-  /// allocates exactly one working counter layout.
+  /// allocates exactly one working counter layout. Bound to this build's
+  /// append-only pool: each selection through it indexes only the sets
+  /// generated since the previous one.
   SelectionWorkspace workspace;
+  /// The last probing iteration's selection, over its
+  /// last_probe.total_sets slots (empty before the first probe).
+  SelectionResult last_probe;
   /// Sampler diagnostics (empty per-shard vectors when shards_used == 1).
   ShardStats shard_stats;
   std::uint64_t theta = 0;

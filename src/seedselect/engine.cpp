@@ -103,6 +103,7 @@ SelectionResult SelectionEngine::select_impl(
   if (workspace != nullptr) {
     sopt.alive_scratch = &workspace->alive_;
     sopt.cover_scratch = &workspace->cover_;
+    sopt.cover_append_only = workspace->bound_;
   }
 
   if (kernel == SelectionKernel::kRipples) {

@@ -56,14 +56,30 @@ enum class SelectionKernel { kEfficient, kRipples };
 /// ShardedCounterArray replicas, matching its configuration) on FIRST
 /// use, then reset()s and reloads it from the fused base counters on
 /// every subsequent call; the per-set alive flags and the efficient
-/// kernel's CoverIndex buffers are likewise reused (the index is rebuilt
-/// per call into the kept capacity).
+/// kernel's CoverIndex buffers are likewise reused. An unbound workspace
+/// rebuilds the index per call into the kept capacity; one bound to an
+/// append-only pool (bind_append_only) keeps it and indexes only the
+/// sets appended since the previous call.
 /// counter_allocations() is the regression hook: one run_imm performs
 /// exactly one layout allocation across all probes plus the final
 /// selection.
 class SelectionWorkspace {
  public:
   SelectionWorkspace() = default;
+
+  /// Binds the workspace to one append-only pool — build_rrr_pool's,
+  /// whose martingale rounds only ever append slots. Every later
+  /// efficient selection through it must pass that pool (grown or not):
+  /// the kept CoverIndex is extended over the new slots, not rebuilt.
+  /// A pool smaller than the indexed prefix, or with another vertex
+  /// count, raises CheckError; a different pool of the same shape is
+  /// the caller's bug and goes undetected.
+  void bind_append_only() noexcept { bound_ = true; }
+  [[nodiscard]] bool bound() const noexcept { return bound_; }
+  /// The kept CoverIndex (diagnostics and tests).
+  [[nodiscard]] const CoverIndex& cover_index() const noexcept {
+    return cover_;
+  }
 
   /// Counter-layout allocations performed so far (1 after any use; a
   /// value above 1 means the pool geometry or engine config changed
@@ -85,6 +101,7 @@ class SelectionWorkspace {
   ShardedCounterArray sharded_;
   std::vector<std::uint8_t> alive_;
   CoverIndex cover_;
+  bool bound_ = false;
   std::uint64_t counter_allocations_ = 0;
   std::uint64_t reuses_ = 0;
 };
@@ -119,8 +136,10 @@ class SelectionEngine {
   /// working counter layout, alive flags and cover index: allocated on
   /// first use, reset+reloaded on every later call — callers running
   /// repeated selections (the martingale probe loop) pass one workspace
-  /// so the whole run performs a single layout allocation. The ripples
-  /// kernel ignores `base` and uses the workspace only for alive flags.
+  /// so the whole run performs a single layout allocation; a bound
+  /// workspace also extends its cover index instead of rebuilding it.
+  /// The ripples kernel ignores `base` and uses the workspace only for
+  /// alive flags.
   /// Must be called outside any OpenMP parallel region (the kernels
   /// spawn their own).
   SelectionResult select(SelectionKernel kernel, const RRRPoolView& pool,

@@ -14,20 +14,28 @@
 // after each pick the counter is either decremented over covered sets or
 // rebuilt from the survivors — whichever touches fewer vertices
 // (§IV-C "Adaptive Vertex Occurrence Counter Update"). The decrement
-// branch finds the covered sets without a scan over all θ: each call
-// splits the pool at the §IV-C bitmap crossover (bitmap_cutoff(|V|)).
-// Sparse sets (below it) go into a CSR vertex→set-id CoverIndex, so the
-// sets covering the seed are exactly index[seed]; dense sets (at or
-// above it) stay on a short scan list tested with contains(), a single
-// bit test for bitmap sets. A round's decrement therefore touches
-// |index[seed]| + |scan list| sets, not θ. Compressed pools index
-// nothing — every slot stays on the scan list, so their resident bytes
-// do not grow. The kernel is additionally templated on the Counters
-// layout: the flat CounterArray (the paper's shared atomic array) or the
-// NUMA ShardedCounterArray (per-domain replicas, updates to the caller's
-// home replica, summed hierarchical arg-max). Workers resolve a
-// CounterSlab view once per parallel region; both layouts produce
-// bit-identical seed sequences.
+// branch finds the covered sets without a scan over all θ: the pool is
+// split at the §IV-C bitmap crossover (bitmap_cutoff(|V|)). Sparse sets
+// (below it) go into a CSR vertex→set-id CoverIndex, so the sets
+// covering the seed are exactly index[seed]; dense sets (at or above it)
+// stay on a short scan list tested with contains(), a single bit test
+// for bitmap sets. A round's decrement therefore touches |index[seed]| +
+// |scan list| sets, not θ. Compressed pools index nothing — every slot
+// stays on the scan list, so their resident bytes do not grow.
+//
+// The index covers a prefix of the pool's slots. A plain call rebuilds it
+// from slot 0; a call with SelectionOptions::cover_append_only (the
+// SelectionWorkspace bound to a build's append-only pool — the
+// martingale probe loop) keeps the index of the slots it already covers
+// and indexes only the sets appended since, into the same single CSR.
+// Both go through detail::build_cover_index.
+//
+// The kernel is additionally templated on the Counters layout: the flat
+// CounterArray (the paper's shared atomic array) or the NUMA
+// ShardedCounterArray (per-domain replicas, updates to the caller's home
+// replica, summed hierarchical arg-max). Workers resolve a CounterSlab
+// view once per parallel region; both layouts produce bit-identical seed
+// sequences.
 //
 // Both kernels are templated on a Mem policy that observes every data
 // access (counters, set payloads, index reads); NullMem compiles to
@@ -70,8 +78,10 @@ struct NullMem {
 };
 
 /// Vertex→set index the efficient kernel retires covered sets through,
-/// rebuilt at the start of every call. Sets below the bitmap crossover
-/// are listed under each of their members; the rest go on `scan`.
+/// over the pool's slots [0, indexed). Sets below the bitmap crossover
+/// are listed under each of their members; the rest go on `scan`. It
+/// grows in place when an append-only pool grows (the martingale rounds)
+/// and stays one CSR however many times it grew.
 /// Memory: 4 B per sparse member plus 8 B per vertex.
 struct CoverIndex {
   /// |V|+1 CSR offsets into `sets`; empty when nothing is indexed.
@@ -83,6 +93,20 @@ struct CoverIndex {
   /// Every slot is on the scan list (compressed pools); `scan` stays
   /// empty and the kernel scans ids 0..θ-1 directly.
   bool scan_all = false;
+  /// Pool slots covered so far; the next build indexes [indexed, θ).
+  std::size_t indexed = 0;
+  /// Vertex count of the indexed pool (0 while nothing is indexed).
+  VertexId num_vertices = 0;
+
+  /// Forgets every indexed slot, keeping the buffers' capacity.
+  void clear() noexcept {
+    offsets.clear();
+    sets.clear();
+    scan.clear();
+    scan_all = false;
+    indexed = 0;
+    num_vertices = 0;
+  }
 };
 
 struct SelectionOptions {
@@ -110,9 +134,16 @@ struct SelectionOptions {
   /// own — the SelectionWorkspace reuse path for the martingale probe
   /// loop. Contents on return are the final alive flags.
   std::vector<std::uint8_t>* alive_scratch = nullptr;
-  /// Reusable CoverIndex storage for the efficient kernel, rebuilt from
-  /// scratch on every call (same reuse path; ignored by ripples).
+  /// Reusable CoverIndex storage for the efficient kernel (same reuse
+  /// path; ignored by ripples). Rebuilt from scratch on every call
+  /// unless `cover_append_only` is set.
   CoverIndex* cover_scratch = nullptr;
+  /// `cover_scratch` indexes a prefix of THIS pool, which only ever grew
+  /// by appending slots since: keep that prefix and index only the new
+  /// slots. Raises CheckError when the pool is smaller than the indexed
+  /// prefix or has a different vertex count. Set by a SelectionWorkspace
+  /// bound to a build's append-only pool, never by hand.
+  bool cover_append_only = false;
 };
 
 struct SelectionResult {
@@ -178,86 +209,178 @@ bool contains_traced(const SetT& set, VertexId v) {
   return set.contains(v);
 }
 
-/// Builds `index` over `pool` (see CoverIndex). Two parallel passes over
-/// the sparse sets — count members per vertex, then scatter set ids
-/// through per-vertex atomic cursors — so the id order inside one
-/// vertex's run depends on the schedule; the decrement branch is
-/// order-independent (counter updates commute), so seeds do not.
+/// Brings `index` up to date with `pool` (see CoverIndex): indexes the
+/// slots [index.indexed, θ) into the existing CSR, so a cleared index is
+/// built from scratch and a bound one only grows by the appended sets.
+///
+/// The vertices are cut into buckets of consecutive ids, several per
+/// thread, and every write to the CSR is made by the one thread that
+/// owns the vertex's bucket: no atomics, and no two threads storing
+/// into the same run. Two passes over the new slots, one ascending block
+/// per thread, count and then copy each new (member, set id) pair into
+/// its bucket's list. Bucket-parallel passes over those lists count the
+/// new members per vertex and, after one serial pass over |V| that turns
+/// the counts into the grown offsets and slides each indexed run to its
+/// new start, scatter the set ids. Lists hold their pairs in slot order,
+/// so every run ends up ascending and the index does not depend on the
+/// schedule. Temporary memory: 8 B per new sparse member. Requires
+/// θ < 2^32 (the kernel checks it): a vertex's old and new run lengths
+/// share one 64-bit word while counting.
 template <typename Mem, typename PoolT>
 void build_cover_index(const PoolT& pool, CoverIndex& index) {
   const std::size_t num_sets = pool.size();
   const VertexId n = pool.num_vertices();
-  index.sets.clear();
-  index.scan.clear();
-  index.scan_all = false;
+  bool compressed = false;
   if constexpr (requires { pool.compressed(); }) {
-    index.scan_all = pool.compressed();
+    compressed = pool.compressed();
   }
-  if (index.scan_all) {
-    index.offsets.clear();
-    return;
+  if (index.indexed == 0) {
+    index.clear();
+    index.num_vertices = n;
+    index.scan_all = compressed;
+    if (!compressed) index.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   }
+  EIMM_CHECK(index.num_vertices == n && index.scan_all == compressed,
+             "cover index was built over a pool of another shape");
+  EIMM_CHECK(num_sets >= index.indexed,
+             "pool smaller than the slots its cover index covers");
+  const std::size_t begin = index.indexed;
+  index.indexed = num_sets;
+  if (index.scan_all || begin == num_sets) return;
 
   const std::size_t cutoff = bitmap_cutoff(n);
-  index.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   std::uint64_t* offsets = index.offsets.data();
-  // Calls fn once per distinct member: a vector set listing a vertex
-  // twice must still appear once in that vertex's run.
-  const auto for_each_distinct = [](const auto& set, auto&& fn) {
-    VertexId prev = kInvalidVertex;
-    for_each_traced<Mem>(set, [&](VertexId v) {
-      if (v == prev) return;
-      prev = v;
-      fn(v);
-    });
-  };
-
-  // Pass 1: member counts into offsets[v + 1]; dense ids onto per-thread
-  // lists. A static schedule gives each thread one ascending block, in
-  // thread order, so concatenating the lists keeps the scan list sorted.
-  std::vector<std::vector<SketchId>> dense(
-      static_cast<std::size_t>(omp_get_max_threads()));
-#pragma omp parallel
-  {
-    std::vector<SketchId>& mine =
-        dense[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < num_sets; ++i) {
+  const std::uint64_t old_members = offsets[n];
+  const auto parts = static_cast<std::size_t>(omp_get_max_threads());
+  const std::size_t buckets =
+      std::max<std::size_t>(1, std::min<std::size_t>(8 * parts, n));
+  const std::size_t width =
+      std::max<std::size_t>(1, (n + buckets - 1) / buckets);
+  // Calls fn(v, i) once per distinct member v of every sparse set i in
+  // the part's block of new slots; dense ids go onto `dense`.
+  const auto for_each_part_member = [&](std::size_t part,
+                                        std::vector<SketchId>* dense,
+                                        auto&& fn) {
+    const auto [lo, hi] = block_range(num_sets - begin, parts, part);
+    for (std::size_t i = begin + lo; i < begin + hi; ++i) {
       const auto& set = pool[i];
       if (set.size() >= cutoff) {
-        mine.push_back(static_cast<SketchId>(i));
+        if (dense != nullptr) dense->push_back(static_cast<SketchId>(i));
         continue;
       }
-      for_each_distinct(set, [&](VertexId v) {
-        Mem::touch(offsets + v + 1, sizeof(std::uint64_t));
-        std::atomic_ref<std::uint64_t>(offsets[v + 1])
-            .fetch_add(1, std::memory_order_relaxed);
+      VertexId prev = kInvalidVertex;
+      for_each_traced<Mem>(set, [&](VertexId v) {
+        if (v == prev) return;  // a vector set may list a vertex twice
+        prev = v;
+        fn(v, static_cast<SketchId>(i));
       });
     }
+  };
+
+  // Pass 1: dense ids onto per-part lists (concatenated in part order,
+  // they keep the scan list sorted, and every new id tops the old ones);
+  // new members counted per part and bucket.
+  std::vector<std::vector<SketchId>> dense(parts);
+  std::vector<std::uint64_t> cursor(parts * buckets, 0);  // part-major
+#pragma omp parallel for schedule(static, 1)
+  for (std::size_t part = 0; part < parts; ++part) {
+    std::uint64_t* count = cursor.data() + part * buckets;
+    for_each_part_member(part, &dense[part],
+                         [&](VertexId v, SketchId) { ++count[v / width]; });
   }
   for (const std::vector<SketchId>& part : dense) {
     index.scan.insert(index.scan.end(), part.begin(), part.end());
   }
-  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  index.sets.resize(offsets[n]);
 
-  // Pass 2: offsets[v] is v's write cursor; after the scatter it holds
-  // v's end, i.e. offsets[v + 1]'s start — shift back by one slot.
+  // Lists laid out bucket-major, parts in order within a bucket, so
+  // bucket b holds [first[b], first[b + 1]) in slot order.
+  std::vector<std::uint64_t> first(buckets + 1, 0);
+  std::uint64_t added = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    first[b] = added;
+    for (std::size_t part = 0; part < parts; ++part) {
+      const std::uint64_t count = cursor[part * buckets + b];
+      cursor[part * buckets + b] = added;
+      added += count;
+    }
+  }
+  first[buckets] = added;
+  // Grown before the lists exist, so the old id buffer is gone by then.
+  index.sets.resize(old_members + added);
   SketchId* sets = index.sets.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < num_sets; ++i) {
-    const auto& set = pool[i];
-    if (set.size() >= cutoff) continue;
-    for_each_distinct(set, [&](VertexId v) {
-      Mem::touch(offsets + v, sizeof(std::uint64_t));
-      const std::uint64_t pos = std::atomic_ref<std::uint64_t>(offsets[v])
-                                    .fetch_add(1, std::memory_order_relaxed);
-      Mem::touch(sets + pos, sizeof(SketchId));
-      sets[pos] = static_cast<SketchId>(i);
+
+  // Pass 2: copy the new pairs into their buckets' lists.
+  std::vector<std::pair<VertexId, SketchId>> lists(added);
+#pragma omp parallel for schedule(static, 1)
+  for (std::size_t part = 0; part < parts; ++part) {
+    std::uint64_t* next = cursor.data() + part * buckets;
+    for_each_part_member(part, nullptr, [&](VertexId v, SketchId i) {
+      lists[next[v / width]++] = {v, i};
     });
   }
-  std::move_backward(offsets, offsets + n, offsets + n + 1);
-  offsets[0] = 0;
+  // Runs fn(v, id) over every new pair, each bucket on one thread.
+  const auto for_each_new_pair = [&](auto&& fn) {
+#pragma omp parallel for schedule(dynamic, 1)
+    for (std::size_t b = 0; b < buckets; ++b) {
+      for (std::uint64_t j = first[b]; j < first[b + 1]; ++j) {
+        Mem::touch(lists.data() + j, sizeof(lists[j]));
+        fn(lists[j].first, lists[j].second);
+      }
+    }
+  };
+
+  // Offsets → run lengths in place: offsets[v + 1] = |run of v|. Each
+  // thread owns one block of vertices and reads its left boundary before
+  // the barrier, ahead of the neighbour block's writes.
+  if (old_members != 0) {
+#pragma omp parallel
+    {
+      const auto [lo, hi] =
+          block_range(n, static_cast<std::size_t>(omp_get_num_threads()),
+                      static_cast<std::size_t>(omp_get_thread_num()));
+      std::uint64_t prev = offsets[lo];
+#pragma omp barrier
+      for (std::size_t v = lo; v < hi; ++v) {
+        const std::uint64_t end = offsets[v + 1];
+        offsets[v + 1] = end - prev;
+        prev = end;
+      }
+    }
+  }
+
+  // Pass 3: new member counts into the high half of offsets[v + 1].
+  constexpr std::uint64_t kNewMember = std::uint64_t{1} << 32;
+  for_each_new_pair([&](VertexId v, SketchId) {
+    Mem::touch(offsets + v + 1, sizeof(std::uint64_t));
+    offsets[v + 1] += kNewMember;
+  });
+
+  // Lengths → grown offsets, walking down from the end so each indexed
+  // run slides right to its new start before anything lands on it.
+  // offsets[v + 1] becomes v's write cursor: the end of its indexed run.
+  std::uint64_t new_end = old_members + added;
+  std::uint64_t old_end = old_members;
+  for (std::size_t v = n; v-- > 0;) {
+    const std::uint64_t old_len = offsets[v + 1] & (kNewMember - 1);
+    const std::uint64_t new_len = offsets[v + 1] >> 32;
+    const std::uint64_t new_begin = new_end - old_len - new_len;
+    old_end -= old_len;
+    if (old_len != 0 && new_begin != old_end) {
+      std::copy_backward(sets + old_end, sets + old_end + old_len,
+                         sets + new_begin + old_len);
+    }
+    offsets[v + 1] = new_begin + old_len;
+    new_end = new_begin;
+  }
+
+  // Pass 4: scatter the new ids; each cursor ends at offsets[v + 1]'s
+  // final value, the end of v's grown run.
+  for_each_new_pair([&](VertexId v, SketchId id) {
+    Mem::touch(offsets + v + 1, sizeof(std::uint64_t));
+    const std::uint64_t pos = offsets[v + 1]++;
+    Mem::touch(sets + pos, sizeof(SketchId));
+    sets[pos] = id;
+  });
 }
 
 /// Arg-max over either counter layout. The production path uses the
@@ -322,6 +445,7 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
   CoverIndex own_cover;
   CoverIndex& cover =
       options.cover_scratch != nullptr ? *options.cover_scratch : own_cover;
+  if (!options.cover_append_only) cover.clear();
   detail::build_cover_index<Mem>(pool, cover);
   const std::size_t scan_count =
       cover.scan_all ? num_sets : cover.scan.size();

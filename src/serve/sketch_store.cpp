@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "diffusion/model.hpp"
@@ -630,8 +631,18 @@ void SketchStore::save_file(const std::string& path,
                             SnapshotSaveOptions options) const {
   // Write beside the target, then rename(2) over it: a server that maps
   // the old file keeps the old inode, where truncating the file in place
-  // would SIGBUS it on the next page it touches.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // would SIGBUS it on the next page it touches. The temp name is unique
+  // per call (pid plus a process-wide sequence number), so concurrent
+  // saves to one target never share a temp file, and O_EXCL refuses to
+  // adopt a file of that name left by someone else.
+  static std::atomic<std::uint64_t> save_sequence{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(save_sequence.fetch_add(1, std::memory_order_relaxed));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  EIMM_CHECK(fd >= 0, "cannot create the snapshot temp file");
+  ::close(fd);
   try {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     EIMM_CHECK(os.good(), "cannot open snapshot file for writing");

@@ -284,9 +284,11 @@ class SketchStore {
   /// Writes the page-aligned section-table format: v2 by default, v3
   /// (compressed payload) when options.compress is set.
   void save(std::ostream& os, SnapshotSaveOptions options = {}) const;
-  /// save() into `<path>.tmp.<pid>`, then rename(2) over `path`, so stores
-  /// mapped from the old file keep serving it. The temp file is removed
-  /// when any step fails. No fsync: the rename is atomic against readers,
+  /// save() into `<path>.tmp.<pid>.<n>` (created with O_EXCL; `n` is a
+  /// process-wide call counter, so concurrent saves to one path never
+  /// share a temp file), then rename(2) over `path`, so stores mapped
+  /// from the old file keep serving it. The temp file is removed when any
+  /// later step fails. No fsync: the rename is atomic against readers,
   /// not durable against a power cut.
   void save_file(const std::string& path,
                  SnapshotSaveOptions options = {}) const;

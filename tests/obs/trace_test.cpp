@@ -166,5 +166,42 @@ TEST_F(TraceTest, RunImmEmitsPhaseSpans) {
   EXPECT_TRUE(names.count("selection.final"));
 }
 
+TEST_F(TraceTest, FinalSelectionSpanSaysWhetherTheLastProbeWasReused) {
+  // One input where Set Theta adds no sets after the last probe (IC) and
+  // one where it tops the pool up (LT).
+  struct Case {
+    DiffusionModel model;
+    double scale;
+    std::size_t k;
+  };
+  for (const Case c : {Case{DiffusionModel::kIndependentCascade, 0.05, 10},
+                       Case{DiffusionModel::kLinearThreshold, 0.02, 6}}) {
+    reset_trace_events();
+    set_trace_path(::testing::TempDir() + "/eimm_trace_reused.json");
+    const DiffusionGraph g = make_workload_with_weights("com-Amazon", c.model,
+                                                        c.scale);
+    ImmOptions options;
+    options.k = c.k;
+    options.model = c.model;
+    options.max_rrr_sets = 1 << 16;
+    options.fused_sampling = FusedSampling::kOff;  // pins the pool contents
+    const ImmResult result = run_efficient_imm(g, options);
+    EXPECT_EQ(result.final_selection_reused,
+              c.model == DiffusionModel::kIndependentCascade);
+
+    std::ostringstream os;
+    write_trace_json(os);
+    const JsonValue events = parse_events(os.str());
+    int finals = 0;
+    for (const JsonValue& event : events.as_array()) {
+      if (event.at("name").as_string() != "selection.final") continue;
+      ++finals;
+      EXPECT_DOUBLE_EQ(event.at("args").at("reused").as_number(),
+                       result.final_selection_reused ? 1.0 : 0.0);
+    }
+    EXPECT_EQ(finals, 1);
+  }
+}
+
 }  // namespace
 }  // namespace eimm::obs

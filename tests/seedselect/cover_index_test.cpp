@@ -11,6 +11,7 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "rrr/compressed_pool.hpp"
@@ -287,6 +288,127 @@ TEST(CoverIndex, ReusedWorkspaceMatchesAFreshIndex) {
       engine.select(SelectionKernel::kEfficient, half, options, nullptr, &ws);
   const Expected ripples = from(ripples_select_t<NullMem>(half, options));
   expect_same(reused, ripples, "reused workspace");
+}
+
+RRRPool prefix_of(const RRRPool& pool, std::size_t count) {
+  RRRPool prefix(pool.num_vertices());
+  prefix.resize(count);
+  for (std::size_t i = 0; i < count; ++i) prefix[i] = pool[i];
+  return prefix;
+}
+
+/// Same slots, same scan list, and each vertex's run holding the same
+/// set ids, compared as sorted multisets. The build also promises each
+/// run ascending, whatever the schedule; that is checked on `got`.
+void expect_same_index(const CoverIndex& got, const CoverIndex& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.indexed, want.indexed) << what;
+  EXPECT_EQ(got.num_vertices, want.num_vertices) << what;
+  EXPECT_EQ(got.scan_all, want.scan_all) << what;
+  EXPECT_EQ(got.scan, want.scan) << what;
+  ASSERT_EQ(got.offsets, want.offsets) << what;
+  ASSERT_EQ(got.sets.size(), want.sets.size()) << what;
+  for (std::size_t v = 0; v + 1 < want.offsets.size(); ++v) {
+    std::vector<SketchId> a(got.sets.begin() + got.offsets[v],
+                            got.sets.begin() + got.offsets[v + 1]);
+    std::vector<SketchId> b(want.sets.begin() + want.offsets[v],
+                            want.sets.begin() + want.offsets[v + 1]);
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()))
+        << what << ": vertex " << v;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_EQ(a, b) << what << ": vertex " << v;
+  }
+}
+
+// Growth steps over the straddling pool: a repeated size (nothing
+// appended) and a step that appends a single set included.
+constexpr std::size_t kSteps[] = {1, 40, 40, 41, 120, 200};
+
+TEST(CoverIndex, IndexGrownInStepsEqualsAFreshIndex) {
+  const RRRPool pool = straddling_pool();
+  std::vector<std::size_t> steps(std::begin(kSteps), std::end(kSteps));
+  steps.push_back(pool.size());
+  for (const bool segmented : {false, true}) {
+    CoverIndex grown;
+    for (const std::size_t count : steps) {
+      const RRRPool prefix = prefix_of(pool, count);
+      const SegmentedPool segments = segment(prefix);
+      const RRRPoolView view =
+          segmented ? RRRPoolView(segments) : RRRPoolView(prefix);
+      detail::build_cover_index<NullMem>(view, grown);
+      CoverIndex fresh;
+      detail::build_cover_index<NullMem>(view, fresh);
+      expect_same_index(grown, fresh,
+                        std::string(segmented ? "segmented" : "pool") +
+                            " at " + std::to_string(count) + " sets");
+    }
+  }
+}
+
+TEST(CoverIndex, BoundWorkspaceSelectsLikeAFreshIndexAsThePoolGrows) {
+  const RRRPool pool = straddling_pool();
+  std::vector<std::size_t> steps(std::begin(kSteps), std::end(kSteps));
+  steps.push_back(pool.size());
+  for (const int shards : {1, 3}) {
+    SelectionEngineConfig config;
+    config.counter_shards = shards;
+    config.pin = PinMode::kNone;
+    const SelectionEngine engine(config);
+    SelectionOptions options;
+    options.k = 8;
+    SelectionWorkspace ws;
+    ws.bind_append_only();
+    for (const std::size_t count : steps) {
+      const RRRPool prefix = prefix_of(pool, count);
+      const std::string what = "shards " + std::to_string(shards) + " at " +
+                               std::to_string(count) + " sets";
+      const SelectionResult bound = engine.select(
+          SelectionKernel::kEfficient, prefix, options, nullptr, &ws);
+      expect_same(bound, from(ripples_select_t<NullMem>(prefix, options)),
+                  what.c_str());
+      CoverIndex fresh;
+      detail::build_cover_index<NullMem>(RRRPoolView(prefix), fresh);
+      expect_same_index(ws.cover_index(), fresh, what);
+    }
+    EXPECT_EQ(ws.counter_allocations(), 1u);
+  }
+}
+
+TEST(CoverIndex, BoundWorkspaceRejectsAPoolOfTheWrongShape) {
+  const RRRPool pool = straddling_pool();
+  const RRRPool half = prefix_of(pool, pool.size() / 2);
+  SelectionEngineConfig config;
+  config.counter_shards = 1;
+  config.pin = PinMode::kNone;
+  const SelectionEngine engine(config);
+  SelectionOptions options;
+  options.k = 4;
+
+  SelectionWorkspace ws;
+  ws.bind_append_only();
+  engine.select(SelectionKernel::kEfficient, pool, options, nullptr, &ws);
+  // Smaller than the indexed prefix: the pool is not the one it grew from.
+  EXPECT_THROW(engine.select(SelectionKernel::kEfficient, half, options,
+                             nullptr, &ws),
+               CheckError);
+
+  SelectionWorkspace other;
+  other.bind_append_only();
+  engine.select(SelectionKernel::kEfficient, half, options, nullptr, &other);
+  RRRPool wider(kVertices + 1);
+  wider.resize(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) wider[i] = pool[i];
+  EXPECT_THROW(engine.select(SelectionKernel::kEfficient, wider, options,
+                             nullptr, &other),
+               CheckError);
+
+  // An unbound workspace rebuilds per call, so any pool goes.
+  SelectionWorkspace unbound;
+  engine.select(SelectionKernel::kEfficient, pool, options, nullptr,
+                &unbound);
+  EXPECT_NO_THROW(engine.select(SelectionKernel::kEfficient, half, options,
+                                nullptr, &unbound));
 }
 
 /// A pool that claims more sets than a 32-bit set id can name. The

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -58,6 +60,17 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& data) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// Whether any `<path>.tmp.*` file sits beside `path`.
+bool temp_files_left(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) return true;
+  }
+  return false;
 }
 
 template <typename T>
@@ -341,7 +354,7 @@ TEST(MmapSnapshot, SavingOverAMappedSnapshotKeepsTheOldGeneration) {
   EXPECT_EQ(fresh.load_stats().file_bytes, read_file(path).size());
 
   // The temp file was renamed away, not left beside the target.
-  EXPECT_FALSE(std::ifstream(path + ".tmp." + std::to_string(::getpid())));
+  EXPECT_FALSE(temp_files_left(path));
   std::remove(path.c_str());
 }
 
@@ -353,11 +366,52 @@ TEST(MmapSnapshot, FailedSaveLeavesNoTempFileAndKeepsTheTarget) {
   ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
   const SketchStore store = make_store();
   EXPECT_THROW(store.save_file(dir), CheckError);
-  EXPECT_FALSE(std::ifstream(dir + ".tmp." + std::to_string(::getpid())));
+  EXPECT_FALSE(temp_files_left(dir));
   struct stat st {};
   ASSERT_EQ(::stat(dir.c_str(), &st), 0);
   EXPECT_TRUE(S_ISDIR(st.st_mode));
   ::rmdir(dir.c_str());
+}
+
+TEST(MmapSnapshot, ConcurrentSavesToOneTargetNeverMixTheirFiles) {
+  // Two threads of one process save different stores to the same path,
+  // over and over. Every save must succeed, the target must end up as
+  // exactly one of the two stores, and no temp file may be left behind.
+  const std::string dir = snapshot_path(
+      ("eimm_concurrent_save." + std::to_string(::getpid())).c_str());
+  std::filesystem::create_directory(dir);
+  const std::string path = dir + "/store.sks";
+  const SketchStore first = make_store();
+  const DiffusionGraph g = make_workload_with_weights(
+      "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
+  ImmOptions options;
+  options.k = 5;
+  options.max_rrr_sets = 2048;
+  const SketchStore second = SketchStore::build(g, options, "dblp-concurrent");
+  ASSERT_FALSE(first == second);
+
+  constexpr int kSaves = 25;
+  int failures[2] = {0, 0};
+  const auto saver = [&](const SketchStore& store, int& failed) {
+    for (int i = 0; i < kSaves; ++i) {
+      try {
+        store.save_file(path);
+      } catch (const CheckError&) {
+        ++failed;
+      }
+    }
+  };
+  std::thread a(saver, std::cref(first), std::ref(failures[0]));
+  std::thread b(saver, std::cref(second), std::ref(failures[1]));
+  a.join();
+  b.join();
+
+  EXPECT_EQ(failures[0], 0);
+  EXPECT_EQ(failures[1], 0);
+  const SketchStore loaded = SketchStore::load_file(path);
+  EXPECT_TRUE(loaded == first || loaded == second);
+  EXPECT_FALSE(temp_files_left(path));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

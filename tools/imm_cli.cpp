@@ -227,10 +227,16 @@ int run_cli(int argc, char** argv) {
               static_cast<unsigned long long>(result.num_rrr_sets),
               result.theta_capped ? " (CAPPED)" : "",
               static_cast<unsigned long long>(result.bitmap_sets));
-  std::printf("time: %.3fs = %.3fs sampling + %.3fs selection (%d threads)\n",
+  // Under reuse the final selection is the last probe's, so the
+  // selection time covers the probes alone.
+  std::printf("time: %.3fs = %.3fs sampling + %.3fs selection%s (%d threads)\n",
               result.breakdown.total_seconds,
               result.breakdown.sampling_seconds,
-              result.breakdown.selection_seconds, result.threads_used);
+              result.breakdown.selection_seconds,
+              result.final_selection_reused
+                  ? " (probes; final reused the last probe)"
+                  : "",
+              result.threads_used);
   std::printf("numa: %d sampling shard(s), %d counter shard(s), pin=%s%s\n",
               result.shards_used, result.counter_shards_used,
               std::string(to_string(effective_pin_mode(resolve_pin_mode(),
