@@ -1,20 +1,16 @@
-// fused_pipeline — end-to-end sampling+selection wall time of the three
-// data-path variants, demonstrating the zero-copy hand-off:
+// fused_pipeline — end-to-end sampling+selection wall time of the
+// zero-copy data path at one shard and at several:
 //
-//   flat          — shards=1: the legacy contiguous RRRPool path.
-//   sharded-merge — the PR 3 pipeline reconstructed (staging arenas +
-//                   full payload copy into the RRRPool at merge), then
-//                   selection over the merged pool. merged_bytes > 0.
-//   sharded-view  — the production path: staging arenas consumed IN
-//                   PLACE through RRRPoolView. merged_bytes == 0 — the
-//                   staged-bytes copy is gone.
+//   flat          — shards=1: the whole round sampled as one shard.
+//   sharded-view  — shards>1: per-domain staging arenas consumed IN
+//                   PLACE through RRRPoolView.
 //
-// Every row reports the byte accounting (staged / mapped / merged), the
+// Every row reports the arena byte accounting (staged / mapped), the
 // workspace counter-layout allocation count (contract: 1 per run), and a
 // seed bit-match flag against the flat reference; the binary exits
-// non-zero if any variant's seeds deviate or the view path merges bytes.
-// Emits a human table plus machine-readable BENCH_pipeline.json via
-// io/json_log.
+// non-zero if any variant's seeds deviate or a run allocates a counter
+// layout other than once. Emits a human table plus machine-readable
+// BENCH_pipeline.json via io/json_log.
 //
 // Extra knobs on top of the common EIMM_* set:
 //   EIMM_PIPELINE_WORKLOAD  workload to run (default com-DBLP)
@@ -29,11 +25,8 @@
 #include "core/imm.hpp"
 #include "io/json_log.hpp"
 #include "numa/topology.hpp"
-#include "rrr/sharded.hpp"
-#include "seedselect/engine.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
-#include "support/timer.hpp"
 
 using namespace eimm;
 using namespace eimm::bench;
@@ -54,7 +47,6 @@ PipelineBenchResult row_from_run(const std::string& workload,
   row.num_rrr_sets = run.num_rrr_sets;
   row.staged_bytes = run.staged_bytes;
   row.mapped_bytes = run.mapped_bytes;
-  row.merged_bytes = run.merged_bytes;
   row.workspace_counter_allocs = run.counter_layout_allocations;
   return row;
 }
@@ -79,54 +71,12 @@ int main() {
 
   std::vector<PipelineBenchResult> rows;
 
-  // --- flat reference: shards = 1, contiguous RRRPool end to end ---
+  // --- flat reference: shards = 1 ---
   options.shards = 1;
   const ImmResult flat = run_efficient_imm(graph, options);
   rows.push_back(row_from_run(workload, "flat", 1, flat));
 
-  // --- sharded-merge: the pre-view pipeline, reconstructed ---
-  // Same θ as the flat run, staged through the sharded sampler and
-  // copied into an RRRPool at merge, then one engine selection over the
-  // merged image. This is the copy the view path deletes.
-  {
-    Timer total;
-    ShardedConfig shard_config;
-    shard_config.shards = shards;
-    shard_config.model = options.model;
-    shard_config.rng_seed = options.rng_seed;
-    shard_config.batch_size = options.batch_size;
-    ShardedSampler sampler(graph.reverse, shard_config);
-    RRRPool merged(graph.num_vertices());
-    Timer sampling;
-    merged.resize(flat.num_rrr_sets);
-    sampler.generate(merged, 0, flat.num_rrr_sets, nullptr);
-    const double sampling_seconds = sampling.seconds();
-
-    SelectionOptions sopt;
-    sopt.k = options.k;
-    const SelectionEngine engine;
-    SelectionWorkspace workspace;
-    Timer selection;
-    const SelectionResult merged_selection = engine.select(
-        SelectionKernel::kEfficient, merged, sopt, nullptr, &workspace);
-    PipelineBenchResult row;
-    row.workload = workload;
-    row.path = "sharded-merge";
-    row.shards = shards;
-    row.threads = config.max_threads;
-    row.selection_seconds = selection.seconds();
-    row.total_seconds = total.seconds();
-    row.sampling_seconds = sampling_seconds;
-    row.num_rrr_sets = merged.size();
-    row.staged_bytes = sampler.stats().staged_bytes;
-    row.mapped_bytes = sampler.stats().mapped_bytes;
-    row.merged_bytes = sampler.stats().merged_bytes;
-    row.workspace_counter_allocs = workspace.counter_allocations();
-    row.seeds_match_flat = merged_selection.seeds == flat.seeds;
-    rows.push_back(row);
-  }
-
-  // --- sharded-view: the zero-copy production path ---
+  // --- sharded-view: one staging arena set per domain ---
   options.shards = shards;
   const ImmResult view = run_efficient_imm(graph, options);
   {
@@ -137,7 +87,7 @@ int main() {
   }
 
   AsciiTable table({"Path", "Shards", "Total s", "Sample s", "Select s",
-                    "Staged MB", "Merged MB", "Ctr allocs", "Seeds=flat"});
+                    "Staged MB", "Mapped MB", "Ctr allocs", "Seeds=flat"});
   for (const PipelineBenchResult& row : rows) {
     table.new_row()
         .add(row.path)
@@ -146,7 +96,7 @@ int main() {
         .add(row.sampling_seconds, 3)
         .add(row.selection_seconds, 3)
         .add(static_cast<double>(row.staged_bytes) / 1e6, 2)
-        .add(static_cast<double>(row.merged_bytes) / 1e6, 2)
+        .add(static_cast<double>(row.mapped_bytes) / 1e6, 2)
         .add(row.workspace_counter_allocs)
         .add(row.seeds_match_flat ? "yes" : "NO");
   }
@@ -166,13 +116,11 @@ int main() {
     // one layout allocation (0 would mean the workspace silently
     // stopped being used — a regression, not a win).
     ok = ok && row.workspace_counter_allocs == 1;
-    if (row.path == "sharded-view") ok = ok && row.merged_bytes == 0;
-    if (row.path == "sharded-merge") ok = ok && row.merged_bytes > 0;
   }
   if (!ok) {
     std::fprintf(stderr,
                  "ERROR: pipeline contract violated (seed mismatch or "
-                 "unexpected merge bytes)\n");
+                 "counter layout allocated other than once)\n");
     return 1;
   }
   return 0;

@@ -6,7 +6,9 @@
 // ShardedSampler::generate(SegmentedPool&) twice — once with the scalar
 // per-slot kernels, once with fused 64-lane traversals — via the shared
 // compare_throughput rep/warmup harness, so "sets/sec" means the same
-// work on both sides. Fused IC output is statistically (not bitwise)
+// work on both sides. LT is never fused (the sampler stages it through
+// the scalar kernel either way), so its rows measure scalar against
+// itself and read ~1.0x. Fused IC output is statistically (not bitwise)
 // equivalent to scalar, so instead of the bit-match flag the sharded
 // bench carries, every model gets a Monte-Carlo spread-ratio check in
 // the style of tests/statcheck: full scalar and fused IMM runs, forward

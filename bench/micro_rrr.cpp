@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "rrr/compressed.hpp"
 #include "rrr/set.hpp"
 #include "support/rng.hpp"
 
@@ -86,45 +85,5 @@ void BM_AdaptiveConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaptiveConstruction)->Arg(1)->Arg(100)->Arg(500);
-
-// HBMax-style compression (rrr/compressed.hpp): smaller storage, but
-// membership pays a linear decode — the codec overhead §IV-C cites as
-// the reason EfficientIMM prefers the adaptive scheme.
-void BM_CompressedContains(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 1000.0;
-  const CompressedSet set =
-      CompressedSet::encode(members_with_density(density, 1));
-  Xoshiro256 rng(2);
-  for (auto _ : state) {
-    const auto v = static_cast<VertexId>(rng.next_bounded(kVertices));
-    benchmark::DoNotOptimize(set.contains(v));
-  }
-}
-BENCHMARK(BM_CompressedContains)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_CompressedIterate(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 1000.0;
-  const CompressedSet set =
-      CompressedSet::encode(members_with_density(density, 1));
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    set.for_each([&](VertexId v) { sum += v; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(set.size()));
-}
-BENCHMARK(BM_CompressedIterate)->Arg(10)->Arg(100)->Arg(500);
-
-void BM_CompressedEncode(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 1000.0;
-  const auto members = members_with_density(density, 1);
-  for (auto _ : state) {
-    auto copy = members;
-    const CompressedSet set = CompressedSet::encode(std::move(copy));
-    benchmark::DoNotOptimize(set.size());
-  }
-}
-BENCHMARK(BM_CompressedEncode)->Arg(1)->Arg(100)->Arg(500);
 
 }  // namespace

@@ -4,16 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <utility>
 
 #include "core/martingale.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_info.hpp"
-#include "runtime/work_queue.hpp"
-#include "rrr/generate.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/sharded.hpp"
 #include "seedselect/engine.hpp"
 #include "support/env.hpp"
@@ -22,58 +18,6 @@
 
 namespace eimm {
 namespace {
-
-/// Builds pool slots [begin, end) through the legacy single-path loop
-/// (the sharded path stages into a SegmentedPool instead — see
-/// build_rrr_pool). Under kernel fusion (fused != nullptr) each freshly
-/// sampled set also increments the base counter in place — Algorithm 3
-/// lines 14-16 — while its vertices are still cache-hot.
-void generate_rrr_range(RRRPool& pool, const CSRGraph& reverse,
-                        const ImmOptions& opt, Engine engine,
-                        std::uint64_t begin, std::uint64_t end,
-                        CounterArray* fused) {
-  const VertexId n = reverse.num_vertices();
-  const bool adaptive =
-      engine == Engine::kEfficient && opt.adaptive_representation;
-
-  auto build_one = [&](std::uint64_t index, SamplerScratch& scratch) {
-    std::vector<VertexId> verts =
-        sample_rrr(reverse, opt.model, opt.rng_seed, index, scratch);
-    if (fused != nullptr) {
-      for (const VertexId v : verts) fused->increment(v);
-    }
-    pool[index] = adaptive
-                      ? RRRSet::make_adaptive(std::move(verts), n,
-                                              opt.bitmap_threshold)
-                      : RRRSet::make_vector(std::move(verts));
-  };
-
-  if (engine == Engine::kEfficient && opt.dynamic_balance) {
-    const auto workers = static_cast<std::size_t>(omp_get_max_threads());
-    JobPool jobs(end - begin, opt.batch_size, workers);
-#pragma omp parallel
-    {
-      SamplerScratch scratch(n);
-      const auto wid = static_cast<std::size_t>(omp_get_thread_num());
-      for (JobBatch batch = jobs.next(wid); !batch.empty();
-           batch = jobs.next(wid)) {
-        for (std::size_t j = batch.begin; j < batch.end; ++j) {
-          build_one(begin + j, scratch);
-        }
-      }
-    }
-  } else {
-    // Baseline: static θ/p split, the parallelization §II-B describes.
-#pragma omp parallel
-    {
-      SamplerScratch scratch(n);
-#pragma omp for schedule(static)
-      for (std::uint64_t i = begin; i < end; ++i) {
-        build_one(i, scratch);
-      }
-    }
-  }
-}
 
 /// Counter shards this run's selection phase uses: the ripples baseline
 /// and the --no-numa ablation both force the legacy flat layout (the
@@ -158,7 +102,7 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
                                : MemPolicy::kDefault;
 
   PoolBuild build;
-  build.pool = RRRPool(n);
+  build.segments = SegmentedPool(n);
   build.workspace.bind_append_only();
   if (use_fusion) {
     build.base_counters = CounterArray(n, policy);
@@ -166,17 +110,13 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   }
   build.shards_used =
       engine == Engine::kEfficient ? resolve_shards(options.shards) : 1;
-  // Fused sampling stages through the ShardedSampler even at shards == 1
-  // (its traversals emit arena runs, not RRRPool slots), so it forces
-  // the segmented zero-copy storage path.
   build.fused_sampling_used =
       engine == Engine::kEfficient &&
       resolve_fused_sampling(options.fused_sampling);
-  build.segmented = build.shards_used > 1 || build.fused_sampling_used;
 
   // Compressed backing (kEfficient only): rounds are gap-coded into
-  // build.cpool as they land, and the raw staging storage is recycled,
-  // so the resident pool is the compressed image plus ONE round of raw
+  // build.cpool as they land, and the segment arenas are recycled, so
+  // the resident pool is the compressed image plus ONE round of raw
   // staging. Selection and probing read the compressed view; contents
   // are identical, so seeds are too.
   const PoolCompression compression =
@@ -190,23 +130,21 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
                                         : PoolCodec::kVarint);
   }
 
-  // The sharded sampler persists across the martingale rounds: its
-  // arenas (owned by build.segments on the zero-copy path) keep
-  // accumulating staged runs, and selection reads them in place through
-  // build.view() — the merge copy the PR 3 pipeline paid is gone.
-  std::optional<ShardedSampler> sampler;
-  if (build.segmented) {
-    build.segments = SegmentedPool(n);
-    ShardedConfig config;
-    config.shards = build.shards_used;
-    config.model = options.model;
-    config.rng_seed = options.rng_seed;
-    config.batch_size = options.batch_size;
-    config.fused = build.fused_sampling_used;
-    // adaptive_representation/bitmap_threshold are merge-path knobs: the
-    // zero-copy path always keeps sorted runs (see ImmOptions docs).
-    sampler.emplace(graph.reverse, config);
-  }
+  // The sampler persists across the martingale rounds: its arenas (owned
+  // by build.segments) keep accumulating staged sets, and selection
+  // reads them in place through build.view(). The Ripples baseline is
+  // its one-shard, static-split, sorted-run configuration.
+  ShardedConfig config;
+  config.shards = build.shards_used;
+  config.model = options.model;
+  config.rng_seed = options.rng_seed;
+  config.batch_size = options.batch_size;
+  config.adaptive_representation =
+      engine == Engine::kEfficient && options.adaptive_representation;
+  config.dynamic_balance =
+      engine == Engine::kEfficient && options.dynamic_balance;
+  config.fused = build.fused_sampling_used;
+  ShardedSampler sampler(graph.reverse, config);
 
   std::uint64_t generated = 0;
 
@@ -220,34 +158,18 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
                         static_cast<std::int64_t>(target), "shards",
                         build.shards_used);
     Timer generate_timer;
-    if (build.segmented) {
-      build.segments.resize(target);
-      sampler->generate(build.segments, generated, target,
-                        use_fusion ? &build.base_counters : nullptr);
-      build.shard_stats = sampler->stats();
-    } else {
-      build.pool.resize(target);
-      generate_rrr_range(build.pool, graph.reverse, options, engine,
-                         generated, target,
-                         use_fusion ? &build.base_counters : nullptr);
-    }
+    build.segments.resize(target);
+    sampler.generate(build.segments, generated, target,
+                     use_fusion ? &build.base_counters : nullptr);
+    build.shard_stats = sampler.stats();
     core_metrics().sets.add(target - generated);
     core_metrics().generate_us.observe(generate_timer.nanos() / 1000);
     if (build.compressed) {
-      // Encode the fresh round, then recycle its raw staging storage.
-      // Fused base counters were already incremented during generation,
-      // so dropping the raw sets loses nothing the kernels need.
-      const RRRPoolView staged = build.segmented
-                                     ? RRRPoolView(build.segments)
-                                     : RRRPoolView(build.pool);
-      build.cpool.append(staged, generated, target);
-      if (build.segmented) {
-        build.segments.reset_arenas();
-      } else {
-        for (std::uint64_t i = generated; i < target; ++i) {
-          build.pool[i] = RRRSet();
-        }
-      }
+      // Encode the fresh round, then recycle its arena pages. Fused base
+      // counters were already incremented during generation, so dropping
+      // the raw sets loses nothing the kernels need.
+      build.cpool.append(RRRPoolView(build.segments), generated, target);
+      build.segments.reset_arenas();
     }
     generated = target;
   };
@@ -327,13 +249,15 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.rebuild_rounds = final_selection.rebuild_rounds;
   result.threads_used = omp_get_max_threads();
   result.shards_used = build.shards_used;
-  result.fused_sampling_used = build.fused_sampling_used;
+  // The sampler stages LT through the scalar loop even when fused.
+  result.fused_sampling_used =
+      build.fused_sampling_used &&
+      options.model == DiffusionModel::kIndependentCascade;
   result.counter_shards_used = resolved_counter_shards(options, engine);
   result.counter_layout_allocations = build.workspace.counter_allocations();
   result.final_selection_reused = reuse;
   result.staged_bytes = build.shard_stats.staged_bytes;
   result.mapped_bytes = build.shard_stats.mapped_bytes;
-  result.merged_bytes = build.shard_stats.merged_bytes;
   if (build.compressed) {
     result.pool_compression_used = build.cpool.codec() == PoolCodec::kHuffman
                                        ? PoolCompression::kHuffman

@@ -57,12 +57,12 @@ struct ImmOptions {
   // --- EfficientIMM feature flags (ablations in bench/) ---
   /// Fuse Generate_RRRsets with the initial counter build (Algorithm 3).
   bool kernel_fusion = true;
-  /// Adaptive vector/bitmap RRR representation (§IV-C). Applies to the
-  /// contiguous RRRPool paths (shards == 1, and the ripples engine);
-  /// the sharded zero-copy path (shards > 1) always stores sorted
-  /// vertex runs in the staging arenas — set contents and seeds are
-  /// identical either way, but bitmap_sets reports 0 there and dense
-  /// sets occupy size·4 bytes instead of |V|/8.
+  /// Adaptive vector/bitmap RRR representation (§IV-C): the sampler
+  /// stages a set of at least bitmap_cutoff(|V|) members as a bitmap run
+  /// of |V|/8 bytes and a smaller one as a sorted run of size·4 bytes.
+  /// False keeps every set a sorted run (the ripples engine always
+  /// does). Fused sampling stages sorted runs either way. Set contents
+  /// and seeds are identical for every value.
   bool adaptive_representation = true;
   /// Adaptive decrement-vs-rebuild counter update (§IV-C / Fig. 5):
   /// after each pick, rebuild the counters from the surviving sets when
@@ -77,14 +77,12 @@ struct ImmOptions {
   /// Interleave shared arrays across NUMA nodes (§IV-B); silently a
   /// no-op on single-node hosts.
   bool numa_aware = true;
-  /// Bitmap-representation crossover, as a fraction of |V|.
-  double bitmap_threshold = kDefaultBitmapThreshold;
   /// RRR sets per dynamic-balancing batch.
   std::size_t batch_size = 64;
   /// NUMA sampling shards (rrr/sharded.hpp). 0 resolves from the
   /// EIMM_SHARDS environment variable, defaulting to the detected NUMA
-  /// domain count; 1 forces the legacy single-path generation loop.
-  /// Pool contents are bit-identical for every value — per-index RNG
+  /// domain count; 1 samples the whole round as one shard. Pool
+  /// contents are bit-identical for every value — per-index RNG
   /// streams — so this only moves storage placement and scheduling.
   int shards = 0;
   /// NUMA counter shards for the selection phase (seedselect/engine.hpp):
@@ -121,8 +119,8 @@ struct ImmOptions {
   /// shard counts and deterministic in the seed, but IC contents are
   /// only STATISTICALLY equivalent to the scalar pipeline (the joint
   /// traversal reorders coin flips) — the statcheck spread-ratio harness
-  /// validates the mode instead of bit-identity. Forces the segmented
-  /// zero-copy storage path even when shards == 1.
+  /// validates the mode instead of bit-identity. IC only: LT builds
+  /// always sample through the scalar kernel.
   FusedSampling fused_sampling = FusedSampling::kAuto;
 };
 
@@ -178,14 +176,12 @@ struct ImmResult {
   /// efficient engine reuses; Ripples runs reselect, as the paper's
   /// baseline does.
   bool final_selection_reused = false;
-  /// Sharded-pipeline byte accounting (all zero when shards_used == 1):
-  /// payload staged into arenas, arena bytes mapped, and payload copied
-  /// at merge — the zero-copy view path keeps merged_bytes at 0.
+  /// Sampler byte accounting: payload staged into arenas and arena
+  /// bytes mapped, over the whole build.
   std::uint64_t staged_bytes = 0;
   std::uint64_t mapped_bytes = 0;
-  std::uint64_t merged_bytes = 0;
   /// Whether the build sampled through the fused 64-wide generator
-  /// (resolved from the option and EIMM_FUSED).
+  /// (resolved from the option and EIMM_FUSED; false for LT).
   bool fused_sampling_used = false;
   /// Pool compression the build actually used (resolved from the option
   /// and EIMM_POOL_COMPRESS; kNone when the pool stayed raw).
@@ -205,21 +201,18 @@ struct ImmResult {
 /// performs its final selection over exactly this state, and the serve/
 /// subsystem freezes it into a queryable SketchStore.
 ///
-/// Storage: the legacy path (shards_used == 1, or the ripples engine)
-/// fills `pool`; the sharded path stages straight into `segments` and
-/// NEVER builds the contiguous image — consumers read through view(),
-/// which works over either, and call view().flatten() only when they
-/// genuinely need the flat CSR (snapshots).
+/// Storage: every build stages through the sharded sampler straight
+/// into `segments` (sorted runs and, under adaptive representation,
+/// bitmap runs) and NEVER builds the contiguous image — consumers read
+/// through view() and call view().flatten() only when they genuinely
+/// need the flat CSR (snapshots).
 struct PoolBuild {
-  RRRPool pool{0};
-  /// Zero-copy sharded storage (populated iff `segmented`).
+  /// The sampler's pool: per-worker arenas plus one entry per slot.
   SegmentedPool segments;
-  bool segmented = false;
   /// Gap-coded pool storage (populated iff `compressed`). When active,
-  /// each generation round is encoded here and the raw staging storage
-  /// (pool slots or segment arenas) is recycled — `pool`/`segments`
-  /// then hold only transient per-round staging, and view() serves
-  /// every consumer from the compressed image.
+  /// each generation round is encoded here and the segment arenas are
+  /// recycled — `segments` then holds only transient per-round staging,
+  /// and view() serves every consumer from the compressed image.
   CompressedPool cpool;
   bool compressed = false;
   /// Fused base counters (kernel fusion, Algorithm 3); valid — and worth
@@ -235,7 +228,7 @@ struct PoolBuild {
   /// The last probing iteration's selection, over its
   /// last_probe.total_sets slots (empty before the first probe).
   SelectionResult last_probe;
-  /// Sampler diagnostics (empty per-shard vectors when shards_used == 1).
+  /// Sampler diagnostics after the last round.
   ShardStats shard_stats;
   std::uint64_t theta = 0;
   bool theta_capped = false;
@@ -243,21 +236,21 @@ struct PoolBuild {
   /// Selection time spent inside the probing iterations (the final
   /// selection happens outside this struct's lifetime).
   double probing_selection_seconds = 0.0;
-  /// Resolved sampling shard count (1 = legacy single-path generation).
+  /// Resolved sampling shard count.
   int shards_used = 1;
-  /// Whether generation went through the fused 64-wide sampler.
+  /// Whether the sampler ran in fused 64-wide mode (resolved from the
+  /// option and EIMM_FUSED). An LT build still samples every set through
+  /// the scalar kernel, so its sets equal the unfused build's.
   bool fused_sampling_used = false;
   std::vector<MartingaleIteration> iterations;
 
   /// The one surface selection-side consumers read the build through.
   [[nodiscard]] RRRPoolView view() const noexcept {
-    if (compressed) return RRRPoolView(cpool);
-    return segmented ? RRRPoolView(segments) : RRRPoolView(pool);
+    return compressed ? RRRPoolView(cpool) : RRRPoolView(segments);
   }
   /// Number of RRR sets in whichever storage is active.
   [[nodiscard]] std::size_t size() const noexcept {
-    if (compressed) return cpool.size();
-    return segmented ? segments.size() : pool.size();
+    return compressed ? cpool.size() : segments.size();
   }
 };
 

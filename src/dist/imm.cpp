@@ -3,7 +3,7 @@
 #include "core/martingale.hpp"
 #include "runtime/atomic_counters.hpp"
 #include "runtime/partition.hpp"
-#include "rrr/pool.hpp"
+#include "rrr/pool_view.hpp"
 #include "rrr/sharded.hpp"
 #include "seedselect/engine.hpp"
 #include "support/macros.hpp"
@@ -22,7 +22,7 @@ std::uint64_t allreduce_bytes(int ranks, std::uint64_t words) {
 
 /// Wire size of one RRR set shipped as a sorted vertex vector plus a
 /// length header (the Ripples-MPI gather format).
-std::uint64_t set_wire_bytes(const RRRSet& set) {
+std::uint64_t set_wire_bytes(const RRRSetView& set) {
   return 8ull + static_cast<std::uint64_t>(set.size()) * sizeof(VertexId);
 }
 
@@ -39,7 +39,7 @@ DistImmResult run_distributed_imm(const DiffusionGraph& graph,
   const MartingaleParams params =
       compute_martingale_params(n, options.k, options.epsilon, options.ell);
 
-  RRRPool pool(n);
+  SegmentedPool pool(n);
   std::uint64_t generated = 0;
   bool capped = false;
 
@@ -50,7 +50,7 @@ DistImmResult run_distributed_imm(const DiffusionGraph& graph,
   shard_config.shards = options.ranks;
   shard_config.model = options.model;
   shard_config.rng_seed = options.rng_seed;
-  shard_config.adaptive_representation = false;  // wire format: raw vectors
+  shard_config.adaptive_representation = false;  // wire format: sorted runs
   ShardedSampler sampler(graph.reverse, shard_config);
 
   auto generate_to = [&](std::uint64_t target) {

@@ -190,7 +190,6 @@ void write_pipeline_bench_json(
         .kv("NumRRRSets", r.num_rrr_sets)
         .kv("StagedBytes", r.staged_bytes)
         .kv("MappedBytes", r.mapped_bytes)
-        .kv("MergedBytes", r.merged_bytes)
         .kv("WorkspaceCounterAllocs", r.workspace_counter_allocs)
         .kv("SeedsMatchFlat", r.seeds_match_flat)
         .end_object();

@@ -107,23 +107,20 @@ std::string write_counter_bench_json_file(
 
 /// One row of the fused-pipeline bench (BENCH_pipeline.json schema):
 /// end-to-end sampling+selection wall time of one data-path variant,
-/// with the byte accounting that shows the zero-copy hand-off working —
-/// merged_bytes drops to 0 on the view path — and the workspace reuse
+/// with the sampler's arena byte accounting and the workspace reuse
 /// keeping counter-layout allocations at one per run.
 struct PipelineBenchResult {
   std::string workload;
-  std::string path;  // "flat" | "sharded-merge" | "sharded-view"
+  std::string path;  // "flat" | "sharded-view"
   int shards = 1;
   int threads = 1;
   double total_seconds = 0.0;
   double sampling_seconds = 0.0;
   double selection_seconds = 0.0;
   std::uint64_t num_rrr_sets = 0;
-  /// Payload bytes staged into arenas / arena bytes mapped / payload
-  /// bytes copied at merge (all 0 on the unsharded flat path).
+  /// Payload bytes staged into arenas / arena bytes mapped.
   std::uint64_t staged_bytes = 0;
   std::uint64_t mapped_bytes = 0;
-  std::uint64_t merged_bytes = 0;
   /// Working counter-layout allocations across the whole run.
   std::uint64_t workspace_counter_allocs = 0;
   /// Seed sequence bit-matches the flat reference run.

@@ -25,17 +25,16 @@
 //   lane still expands each vertex at most once and flips each edge at
 //   most once — the scalar IC live-edge semantics, 64-wide.
 //
-//   LT — every lane performs its own reverse random walk (one
-//   in-neighbor pick per step, lane falls out on no-pick or cycle), but
-//   all walks share the visited words, the touched list, and the emit
-//   pass. Because each lane draws from its own stream in scalar order,
-//   fused LT sets are bit-identical to their scalar counterparts; only
-//   the shared bookkeeping is fused.
+//   LT is not fused: its sets are reverse random walks that share
+//   almost no traversal work, and a fused walk measured slower than the
+//   scalar kernel while producing the same sets. sample_rrr_fused
+//   rejects LT, and the sharded sampler stages LT through the scalar
+//   loop even when fused sampling is requested.
 //
 // RNG contract (runtime/rng_stream.hpp): lane `l` of traversal block `b`
 // covers global RRR slot b*64+l and seeds from rng_stream(seed, b*64+l)
 // — the SAME stream the scalar sampler would use for that slot, so fused
-// roots (and whole LT sets) match scalar. The block-level IC mask stream
+// roots match scalar. The block-level IC mask stream
 // comes from an rng_split domain salted by (block, lane_begin): when a
 // martingale round boundary splits a block into two traversals, the two
 // lane windows draw from disjoint mask streams, so no randomness is ever
@@ -95,7 +94,6 @@ struct FusedScratch {
   /// Per-lane member output, sorted ascending after a traversal.
   std::array<std::vector<VertexId>, kFusedLanes> members;
   std::array<Xoshiro256, kFusedLanes> lane_rng;
-  std::array<VertexId, kFusedLanes> current;  ///< LT walk positions
 };
 
 /// Diagnostics from one traversal (feeds the sampler.fused metrics).
@@ -119,7 +117,8 @@ struct FusedTraversalStats {
 /// block `block` (global slots block*64+lane). On return
 /// scratch.members[l] holds lane l's sorted RRR set (root included) for
 /// every lane in the window, and scratch.visited is all-zero again.
-/// `reverse` must carry diffusion weights; lane_begin < lane_end <= 64.
+/// `reverse` must carry IC diffusion weights; lane_begin < lane_end <=
+/// 64. Throws CheckError for any model other than IC.
 FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
                                      DiffusionModel model,
                                      std::uint64_t base_seed,

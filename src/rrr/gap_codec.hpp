@@ -1,5 +1,5 @@
-// The shared delta-varint gap codec every compressed RRR surface builds
-// on (CompressedSet, HuffmanSet, and the pool-scale CompressedPool).
+// The shared delta-varint gap codec the pool-scale CompressedPool builds
+// on (varint slots, and the byte stream its Huffman stage codes).
 //
 // Stream layout, fixed across all producers so their encodings are
 // bit-identical: a sorted, deduplicated member list {v0 < v1 < ...}

@@ -6,12 +6,15 @@
 
 namespace eimm {
 
-ShardArena::Ref ShardArena::allocate(std::size_t len,
-                                     std::span<VertexId>& out) {
+ShardArena::Ref ShardArena::reserve(std::size_t len, bool align8) {
   // Advance through existing chunks (reset() reuse) before mapping new
-  // ones; a run never spans chunks.
+  // ones; a run never spans chunks. Chunk bases are page-aligned, so an
+  // even unit offset is 8-byte aligned.
+  const auto start = [&] {
+    return align8 ? (head_used_ + 1) & ~std::size_t{1} : head_used_;
+  };
   while (cursor_ < chunks_.size() &&
-         chunks_[cursor_].bytes() / sizeof(VertexId) - head_used_ < len) {
+         start() + len > chunks_[cursor_].bytes() / sizeof(VertexId)) {
     ++cursor_;
     head_used_ = 0;
   }
@@ -21,16 +24,30 @@ ShardArena::Ref ShardArena::allocate(std::size_t len,
     cursor_ = chunks_.size() - 1;
     head_used_ = 0;
   }
+  head_used_ = start();
   Ref ref;
   ref.chunk = static_cast<std::uint32_t>(cursor_);
   ref.pos = static_cast<std::uint32_t>(head_used_);
   ref.len = static_cast<std::uint32_t>(len);
-  auto* base = static_cast<VertexId*>(chunks_[cursor_].data());
-  out = {base + head_used_, len};
   head_used_ += len;
   ++runs_;
-  staged_vertices_ += len;
+  staged_units_ += len;
   return ref;
+}
+
+ShardArena::Ref ShardArena::allocate(std::size_t len,
+                                     std::span<VertexId>& out) {
+  const Ref ref = reserve(len, false);
+  out = {static_cast<VertexId*>(chunks_[ref.chunk].data()) + ref.pos, len};
+  return ref;
+}
+
+std::span<std::uint64_t> ShardArena::allocate_bitmap(std::size_t words) {
+  const Ref ref = reserve(2 * words, true);
+  auto* base = reinterpret_cast<std::uint64_t*>(
+      static_cast<VertexId*>(chunks_[ref.chunk].data()) + ref.pos);
+  std::fill(base, base + words, std::uint64_t{0});
+  return {base, words};
 }
 
 ShardArena::Ref ShardArena::append(std::span<const VertexId> vertices) {
@@ -65,6 +82,12 @@ void SegmentedPool::ensure_workers(std::size_t workers) {
   if (arenas_.size() < workers) arenas_.resize(workers);
 }
 
+std::size_t SegmentedPool::bitmap_count() const noexcept {
+  std::size_t count = 0;
+  for (const Entry& e : entries_) count += e.bitmap ? 1 : 0;
+  return count;
+}
+
 std::uint64_t SegmentedPool::staged_bytes() const noexcept {
   std::uint64_t bytes = 0;
   for (const ShardArena& a : arenas_) bytes += a.staged_bytes();
@@ -83,19 +106,20 @@ std::uint64_t RRRPoolView::total_vertices() const noexcept {
   if (segments_ == nullptr) return 0;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < segments_->size(); ++i) {
-    total += segments_->run(i).size();
+    total += (*segments_)[i].size();
   }
   return total;
 }
 
 std::size_t RRRPoolView::bitmap_count() const noexcept {
-  return pool_ != nullptr ? pool_->bitmap_count() : 0;
+  if (pool_ != nullptr) return pool_->bitmap_count();
+  return segments_ != nullptr ? segments_->bitmap_count() : 0;
 }
 
 std::uint64_t RRRPoolView::memory_bytes() const noexcept {
   if (pool_ != nullptr) return pool_->memory_bytes();
   if (comp_ != nullptr) return comp_->memory_bytes();
-  return segments_ != nullptr ? segments_->mapped_bytes() : 0;
+  return segments_ != nullptr ? segments_->memory_bytes() : 0;
 }
 
 FlatPool RRRPoolView::flatten() const {
@@ -109,21 +133,11 @@ FlatPool RRRPoolView::flatten() const {
     flat.offsets[i + 1] = flat.offsets[i] + (*this)[i].size();
   }
   flat.vertices.resize(flat.offsets.back());
-  if (segments_ != nullptr) {
 #pragma omp parallel for schedule(dynamic, 64)
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::span<const VertexId> run = segments_->run(i);
-      std::copy(run.begin(), run.end(),
-                flat.vertices.begin() +
-                    static_cast<std::ptrdiff_t>(flat.offsets[i]));
-    }
-  } else if (comp_ != nullptr) {
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::size_t i = 0; i < count; ++i) {
-      auto out = flat.vertices.begin() +
-                 static_cast<std::ptrdiff_t>(flat.offsets[i]);
-      comp_->slot(i).for_each([&](VertexId v) { *out++ = v; });
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    auto out = flat.vertices.begin() +
+               static_cast<std::ptrdiff_t>(flat.offsets[i]);
+    (*this)[i].for_each([&](VertexId v) { *out++ = v; });
   }
   return flat;
 }

@@ -1,30 +1,33 @@
-// Zero-copy hand-off between the sampling and selection kernels.
+// Zero-copy storage for sampled RRR sets.
 //
-// The paper's Table II / §IV analysis puts the win in keeping the
-// sampling working set domain-local; the PR 3 pipeline achieved that but
-// paid a full extra copy of every vertex payload rebuilding the flat
-// RRRPool image at merge time. This layer removes the copy:
+// Every build stages its sets straight into the storage selection
+// reads (rrr/sharded.hpp); no contiguous image is built and no payload
+// is copied between sampling and selection:
 //
 //   ShardArena     — worker-private staging storage (page-aligned
 //                    mbind(kLocal) NumaBuffer chunks). reset() rewinds
 //                    the write cursor while KEEPING the mapped chunks,
-//                    so repeated generation rounds reuse the same pages
-//                    instead of re-mapping fresh ones.
-//   SegmentedPool  — the shard-local pool format that survives into
-//                    selection: per-worker arenas owning the sorted
-//                    vertex runs, plus one (pointer, length) entry per
-//                    global RRR slot. No contiguous image is ever built.
+//                    so later rounds reuse the same pages instead of
+//                    mapping fresh ones.
+//   SegmentedPool  — the pool format that survives into selection:
+//                    per-worker arenas owning the staged sets, plus one
+//                    entry per global RRR slot. A slot holds one of the
+//                    paper's adaptive pair (§IV-C): a sorted vertex run
+//                    (sparse sets) or a bitmap run of ceil(|V|/64)
+//                    64-bit words (sets at or above bitmap_cutoff(|V|)).
 //   RRRSetView     — one RRR set, whichever storage backs it: a legacy
-//                    RRRSet (vector or bitmap) or a sorted arena run.
+//                    RRRSet, a sorted arena run, an arena bitmap run, or
+//                    a gap-coded CompressedPool slot.
 //   RRRPoolView    — the pool abstraction every selection-side consumer
 //                    (seedselect kernels, SelectionEngine, coverage
 //                    probing, serve/SketchStore freezing, cachesim)
-//                    accepts: a contiguous legacy RRRPool OR a
-//                    SegmentedPool, behind one slot-addressed surface.
+//                    accepts: a SegmentedPool, a CompressedPool, or a
+//                    legacy RRRPool (tests and benches), behind one
+//                    slot-addressed surface.
 //
-// Determinism: slot content is identical under either backing (runs are
-// sorted exactly like RRRSet's vector representation; bitmap sets
-// enumerate ascending), so selection over a view is bit-identical to
+// Determinism: slot content is identical under every backing (runs are
+// sorted exactly like RRRSet's vector representation; bitmap runs
+// enumerate ascending), so selection over any view is bit-identical to
 // selection over the flattened pool — enforced by tests/rrr/pool_view
 // and the ctest -L statcheck view sweep. flatten() stays available for
 // consumers that genuinely need the contiguous CSR image (snapshot
@@ -40,10 +43,11 @@
 #include "rrr/compressed_pool.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/set.hpp"
+#include "support/bits.hpp"
 
 namespace eimm {
 
-/// Worker-private staging storage for sampled vertex runs: page-aligned
+/// Worker-private staging storage for sampled sets: page-aligned
 /// NumaBuffer chunks requested kLocal, so the pages land on the sampling
 /// worker's own domain under first-touch. Single-writer; a run never
 /// spans chunks, so view() is one contiguous span.
@@ -70,6 +74,10 @@ class ShardArena {
   /// arena with no intermediate buffer.
   Ref allocate(std::size_t len, std::span<VertexId>& out);
 
+  /// Reserves a zeroed bitmap run of `words` 64-bit words, 8-byte
+  /// aligned inside its chunk. Counts as one staged run.
+  std::span<std::uint64_t> allocate_bitmap(std::size_t words);
+
   [[nodiscard]] std::span<const VertexId> view(const Ref& ref) const noexcept;
 
   /// Rewinds the write cursor to the first chunk while KEEPING every
@@ -83,29 +91,147 @@ class ShardArena {
   /// Cumulative payload bytes staged since construction (survives
   /// reset() — reuse shows up as staged_bytes growing past mapped_bytes).
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept {
-    return staged_vertices_ * sizeof(VertexId);
+    return staged_units_ * sizeof(VertexId);
   }
   /// Staged runs since construction (survives reset()).
   [[nodiscard]] std::uint64_t runs() const noexcept { return runs_; }
 
  private:
+  /// Places `len` 4-byte units in the cursor chunk, starting at an even
+  /// unit when `align8` is set; returns the run's ref.
+  Ref reserve(std::size_t len, bool align8);
+
   std::size_t chunk_vertices_;
   std::vector<NumaBuffer> chunks_;
   std::size_t cursor_ = 0;         // chunk currently written
-  std::size_t head_used_ = 0;      // vertices used in the cursor chunk
+  std::size_t head_used_ = 0;      // 4-byte units used in the cursor chunk
   std::uint64_t runs_ = 0;
-  std::uint64_t staged_vertices_ = 0;
+  std::uint64_t staged_units_ = 0;
 };
 
-/// The shard-local pool format that survives into selection: slot i's
-/// members are a SORTED vertex run staged in one of the per-worker
-/// arenas, addressed by a raw (pointer, length) entry. The arenas are
-/// owned here, so the staged pages live exactly as long as the pool —
-/// a SegmentedPool can be moved into a SketchStore and keep serving.
+/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, an
+/// arena bitmap run, or a gap-coded CompressedPool slot. Same observable
+/// surface every way — ascending for_each enumeration, exact contains —
+/// so the selection kernels produce identical seed sequences no matter
+/// which storage backs the pool. Compressed slots report repr() ==
+/// kCompressed and bitmap runs kBitmap, which routes the kernels to the
+/// generic for_each/contains path (the vertices() span fast path exists
+/// for kVector only).
+class RRRSetView {
+ public:
+  RRRSetView() = default;
+  /*implicit*/ RRRSetView(const RRRSet& set) noexcept
+      : kind_(Kind::kSet), set_(&set) {}
+  /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
+      : run_(run) {}
+  /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
+      : kind_(Kind::kCompressed), comp_(slot) {}
+
+  /// A bitmap run: bit v of `words` (ceil(num_vertices / 64) words) is
+  /// set iff v is a member; `members` is the number of set bits.
+  [[nodiscard]] static RRRSetView bitmap(const std::uint64_t* words,
+                                         VertexId num_vertices,
+                                         std::size_t members) noexcept {
+    RRRSetView view;
+    view.kind_ = Kind::kBitmap;
+    view.bits_ = num_vertices;
+    view.words_ = words;
+    view.run_ = {static_cast<const VertexId*>(nullptr), members};
+    return view;
+  }
+
+  /// kVector for arena runs (they are sorted vertex runs by contract),
+  /// kBitmap for arena bitmap runs, kCompressed for CompressedPool slots.
+  [[nodiscard]] RRRRepr repr() const noexcept {
+    switch (kind_) {
+      case Kind::kSet: return set_->repr();
+      case Kind::kBitmap: return RRRRepr::kBitmap;
+      case Kind::kCompressed: return RRRRepr::kCompressed;
+      case Kind::kRun: break;
+    }
+    return RRRRepr::kVector;
+  }
+
+  /// Member count (a bitmap run keeps it beside its words).
+  [[nodiscard]] std::size_t size() const noexcept {
+    switch (kind_) {
+      case Kind::kSet: return set_->size();
+      case Kind::kCompressed: return comp_.count;
+      case Kind::kRun:
+      case Kind::kBitmap: break;
+    }
+    return run_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+
+  /// Sorted-member span; valid only when repr() == kVector (mirrors
+  /// RRRSet::vertices(), which the baseline binary-search kernel uses).
+  /// Empty for bitmap runs and compressed slots — they have no
+  /// materialized member list.
+  [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
+    switch (kind_) {
+      case Kind::kSet:
+        return {set_->vertices().data(), set_->vertices().size()};
+      case Kind::kBitmap:
+      case Kind::kCompressed: return {};
+      case Kind::kRun: break;
+    }
+    return run_;
+  }
+
+  /// Membership. May throw CheckError for a compressed slot whose
+  /// payload is corrupt (bounds-checked decode) — hence not noexcept.
+  [[nodiscard]] bool contains(VertexId v) const {
+    switch (kind_) {
+      case Kind::kSet: return set_->contains(v);
+      case Kind::kBitmap:
+        return v < bits_ && ((words_[v >> 6] >> (v & 63)) & 1) != 0;
+      case Kind::kCompressed: return comp_.contains(v);
+      case Kind::kRun: break;
+    }
+    return std::binary_search(run_.begin(), run_.end(), v);
+  }
+
+  /// Invokes fn(vertex) for every member in ascending order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    switch (kind_) {
+      case Kind::kSet: set_->for_each(std::forward<Fn>(fn)); return;
+      case Kind::kBitmap: {
+        const std::size_t words = words_for_bits(bits_);
+        for (std::size_t w = 0; w < words; ++w) {
+          for_each_set_bit(words_[w], w * 64, [&](std::size_t i) {
+            fn(static_cast<VertexId>(i));
+          });
+        }
+        return;
+      }
+      case Kind::kCompressed: comp_.for_each(std::forward<Fn>(fn)); return;
+      case Kind::kRun: break;
+    }
+    for (const VertexId v : run_) fn(v);
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kRun, kSet, kBitmap, kCompressed };
+
+  Kind kind_ = Kind::kRun;
+  VertexId bits_ = 0;                    // kBitmap: |V|
+  const RRRSet* set_ = nullptr;          // kSet
+  const std::uint64_t* words_ = nullptr;  // kBitmap
+  std::span<const VertexId> run_;        // kRun; kBitmap: size only
+  CompressedSlot comp_;                  // kCompressed
+};
+
+/// The pool format every build fills and selection reads in place: slot
+/// i is a sorted vertex run or a bitmap run staged in one of the
+/// per-worker arenas, addressed by a raw entry. The arenas are owned
+/// here, so the staged pages live exactly as long as the pool — a
+/// SegmentedPool can be moved into a SketchStore and keep serving.
 ///
 /// Concurrency contract: ensure_workers()/resize() are driver-side
-/// (serial, or inside `omp single`); workers then fill DISJOINT slots
-/// through their own arena(w) + set_run(i, span).
+/// (serial); workers then fill DISJOINT slots through their own
+/// arena(w) + set_run/set_bitmap(i, ...).
 class SegmentedPool {
  public:
   SegmentedPool() = default;
@@ -121,7 +247,7 @@ class SegmentedPool {
   void resize(std::size_t count);
 
   /// Grows the per-worker arena set to at least `workers` arenas. Must
-  /// not run concurrently with arena()/set_run().
+  /// not run concurrently with arena()/set_run()/set_bitmap().
   void ensure_workers(std::size_t workers);
   [[nodiscard]] std::size_t num_workers() const noexcept {
     return arenas_.size();
@@ -129,43 +255,59 @@ class SegmentedPool {
   [[nodiscard]] ShardArena& arena(std::size_t worker) noexcept {
     return arenas_[worker];
   }
-  /// Staging-side access to the whole arena vector (the sharded sampler
-  /// plans over it and may grow it inside its `omp single` region).
-  /// Driver-side only — never call while workers are appending.
-  [[nodiscard]] std::vector<ShardArena>& arenas_for_staging() noexcept {
-    return arenas_;
-  }
 
-  /// Records slot `i`'s staged run. `run` must point into one of this
-  /// pool's arenas and stay valid for the pool's lifetime (arenas are
-  /// never reset while entries reference them).
+  /// Records slot `i` as the sorted run `run`, which must point into one
+  /// of this pool's arenas and stay valid for the pool's lifetime
+  /// (arenas are never reset while entries reference them).
   void set_run(std::size_t i, std::span<const VertexId> run) noexcept {
-    entries_[i] = Entry{run.data(), static_cast<std::uint64_t>(run.size())};
+    entries_[i] = Entry{run.data(), static_cast<std::uint32_t>(run.size()),
+                        false};
   }
 
-  /// Slot `i`'s members, ascending.
-  [[nodiscard]] std::span<const VertexId> run(std::size_t i) const noexcept {
-    return {entries_[i].data, entries_[i].len};
+  /// Records slot `i` as a bitmap run: `words` (ceil(num_vertices / 64)
+  /// words, from this pool's arenas) with `members` bits set.
+  void set_bitmap(std::size_t i, const std::uint64_t* words,
+                  std::size_t members) noexcept {
+    entries_[i] = Entry{words, static_cast<std::uint32_t>(members), true};
   }
+
+  /// Slot `i`'s set.
+  [[nodiscard]] RRRSetView operator[](std::size_t i) const noexcept {
+    const Entry& e = entries_[i];
+    if (e.bitmap) {
+      return RRRSetView::bitmap(static_cast<const std::uint64_t*>(e.data),
+                                num_vertices_, e.size);
+    }
+    return RRRSetView(
+        std::span<const VertexId>(static_cast<const VertexId*>(e.data), e.size));
+  }
+
+  /// Slots held as bitmap runs.
+  [[nodiscard]] std::size_t bitmap_count() const noexcept;
 
   /// Cumulative payload / currently-mapped staging bytes over all arenas.
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept;
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept;
+  /// Mapped arena bytes plus the slot table.
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
+    return mapped_bytes() + entries_.capacity() * sizeof(Entry);
+  }
 
   /// Rewinds every arena's write cursor (chunks and their NUMA placement
   /// are KEPT — see ShardArena::reset()). Used by the compressed-pool
-  /// hand-off: once a round's runs are encoded into the CompressedPool,
+  /// hand-off: once a round's sets are encoded into the CompressedPool,
   /// the staging pages are recycled for the next round, bounding raw
   /// staging memory to one round instead of the whole pool. Every staged
-  /// run (and the entry table) becomes invalid.
+  /// set (and the entry table) becomes invalid.
   void reset_arenas() noexcept {
     for (ShardArena& a : arenas_) a.reset();
   }
 
  private:
   struct Entry {
-    const VertexId* data = nullptr;
-    std::uint64_t len = 0;
+    const void* data = nullptr;  // VertexId run, or 64-bit bitmap words
+    std::uint32_t size = 0;      // members
+    bool bitmap = false;
   };
 
   VertexId num_vertices_ = 0;
@@ -173,90 +315,8 @@ class SegmentedPool {
   std::vector<ShardArena> arenas_;
 };
 
-/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, or
-/// a gap-coded CompressedPool slot. Same observable surface every way —
-/// ascending for_each enumeration, exact contains — so the selection
-/// kernels produce identical seed sequences no matter which storage
-/// backs the pool. Compressed slots report repr() == kCompressed, which
-/// routes the kernels to the generic for_each/contains path (the
-/// vertices() span fast path does not exist for them).
-class RRRSetView {
- public:
-  RRRSetView() = default;
-  /*implicit*/ RRRSetView(const RRRSet& set) noexcept
-      : kind_(Kind::kSet), set_(&set) {}
-  /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
-      : run_(run) {}
-  /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
-      : kind_(Kind::kCompressed), comp_(slot) {}
-
-  /// kVector for arena runs (they are sorted vertex runs by contract);
-  /// kCompressed for CompressedPool slots.
-  [[nodiscard]] RRRRepr repr() const noexcept {
-    switch (kind_) {
-      case Kind::kSet: return set_->repr();
-      case Kind::kCompressed: return RRRRepr::kCompressed;
-      case Kind::kRun: break;
-    }
-    return RRRRepr::kVector;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    switch (kind_) {
-      case Kind::kSet: return set_->size();
-      case Kind::kCompressed: return comp_.count;
-      case Kind::kRun: break;
-    }
-    return run_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Sorted-member span; valid only when repr() == kVector (mirrors
-  /// RRRSet::vertices(), which the baseline binary-search kernel uses).
-  /// Empty for compressed slots — they have no materialized members.
-  [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
-    switch (kind_) {
-      case Kind::kSet:
-        return {set_->vertices().data(), set_->vertices().size()};
-      case Kind::kCompressed: return {};
-      case Kind::kRun: break;
-    }
-    return run_;
-  }
-
-  /// Membership. May throw CheckError for a compressed slot whose
-  /// payload is corrupt (bounds-checked decode) — hence not noexcept.
-  [[nodiscard]] bool contains(VertexId v) const {
-    switch (kind_) {
-      case Kind::kSet: return set_->contains(v);
-      case Kind::kCompressed: return comp_.contains(v);
-      case Kind::kRun: break;
-    }
-    return std::binary_search(run_.begin(), run_.end(), v);
-  }
-
-  /// Invokes fn(vertex) for every member in ascending order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    switch (kind_) {
-      case Kind::kSet: set_->for_each(std::forward<Fn>(fn)); return;
-      case Kind::kCompressed: comp_.for_each(std::forward<Fn>(fn)); return;
-      case Kind::kRun: break;
-    }
-    for (const VertexId v : run_) fn(v);
-  }
-
- private:
-  enum class Kind : std::uint8_t { kRun, kSet, kCompressed };
-
-  Kind kind_ = Kind::kRun;
-  const RRRSet* set_ = nullptr;        // kSet
-  std::span<const VertexId> run_;      // kRun
-  CompressedSlot comp_;                // kCompressed
-};
-
-/// Non-owning, slot-addressed view over either pool storage. Implicit
-/// construction keeps every RRRPool call site source-compatible; the
+/// Non-owning, slot-addressed view over any pool storage. Implicit
+/// construction keeps every pool call site source-compatible; the
 /// referenced pool must outlive the view (same contract as std::span).
 class RRRPoolView {
  public:
@@ -289,21 +349,21 @@ class RRRPoolView {
 
   [[nodiscard]] RRRSetView operator[](std::size_t i) const noexcept {
     if (pool_ != nullptr) return RRRSetView((*pool_)[i]);
-    if (segments_ != nullptr) return RRRSetView(segments_->run(i));
+    if (segments_ != nullptr) return (*segments_)[i];
     return RRRSetView(comp_->slot(i));
   }
 
   /// Sum of set sizes (== total counter increments during a build).
   [[nodiscard]] std::uint64_t total_vertices() const noexcept;
-  /// Sets in bitmap representation (always 0 for segmented backing).
+  /// Sets in bitmap representation (RRRSet bitmaps or bitmap runs).
   [[nodiscard]] std::size_t bitmap_count() const noexcept;
   /// Heap/staging footprint of the backing storage.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Copies every set into one contiguous CSR image — the ONLY remaining
   /// payload copy on the data path, kept for snapshot serialization and
-  /// cross-backing equality checks. Parallel fill; bitmap sets expand to
-  /// sorted runs.
+  /// cross-backing equality checks. Parallel fill; bitmap sets and
+  /// bitmap runs expand to sorted runs.
   [[nodiscard]] FlatPool flatten() const;
 
  private:

@@ -75,42 +75,50 @@ std::vector<std::size_t> ShardPlan::shards_for_worker(std::size_t w) const {
   return owned;
 }
 
-ShardedSampler::ShardedSampler(const CSRGraph& reverse, ShardedConfig config)
-    : reverse_(reverse), config_(std::move(config)) {
-  EIMM_CHECK(config_.shards >= 1, "shard count must be >= 1");
-  EIMM_CHECK(config_.batch_size > 0, "batch size must be positive");
-}
+namespace {
 
-void ShardedSampler::stage(
-    std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* fused,
-    std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
-  if (config_.fused) {
-    stage_fused(arenas, begin, end, fused, refs);
-    return;
-  }
-  const std::uint64_t count = end - begin;
+/// One generation round over jobs [job_begin, job_end): pins the team,
+/// plans the jobs into shards, and runs job(scratch, arena, j) for every
+/// job j on the worker that owns it, with one Scratch per worker. A job
+/// is one slot, or one 64-slot block (fused); `unit` is the slots per
+/// job, so a shard's slots in [begin, end) can be reported. Records the
+/// round's statistics into `stats` and checks that exactly end - begin
+/// runs were staged.
+template <typename Scratch, typename Job>
+void run_round(const CSRGraph& reverse, const ShardedConfig& config,
+               SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
+               std::uint64_t unit, std::size_t batch, const char* span_name,
+               ShardStats& stats, Job&& job) {
+  const std::uint64_t job_begin = begin / unit;
+  const std::uint64_t job_end = (end + unit - 1) / unit;
   const NumaTopology& topo = numa_topology();
 
   // Pin the team before planning work onto it: ShardPlan hands shard s
   // to a contiguous worker group, and the compact pin plan maps
   // contiguous thread ids to one domain each — together they keep a
   // shard's JobPool, scratch, and kLocal arena pages on one domain
-  // instead of relying on OMP_PROC_BIND (the ROADMAP placement gap).
-  // No-op on single-node hosts or under EIMM_PIN=none.
+  // instead of relying on OMP_PROC_BIND. No-op on single-node hosts or
+  // under EIMM_PIN=none.
   pin_openmp_team();
 
-  ShardPlan plan = ShardPlan::make(
-      begin, end, config_.shards,
-      static_cast<std::size_t>(omp_get_max_threads()), topo);
+  const auto max_workers = static_cast<std::size_t>(omp_get_max_threads());
+  ShardPlan plan =
+      ShardPlan::make(job_begin, job_end, config.shards, max_workers, topo);
   std::vector<std::unique_ptr<JobPool>> jobs;
-  refs.assign(count, {});
-  const VertexId n = reverse_.num_vertices();
+  // Arenas are worker-private (single writer each) and persist across
+  // rounds: growing rounds keep appending into the same chunk set.
+  pool.ensure_workers(max_workers);
+  const auto staged_runs = [&] {
+    std::uint64_t runs = 0;
+    for (std::size_t w = 0; w < pool.num_workers(); ++w) {
+      runs += pool.arena(w).runs();
+    }
+    return runs;
+  };
+  const std::uint64_t runs_before = staged_runs();
+  const VertexId n = reverse.num_vertices();
 
-  std::uint64_t staged_before = 0;
-  for (const ShardArena& arena : arenas) staged_before += arena.runs();
-
-  if (count > 0) {
+  if (end > begin) {
 #pragma omp parallel
     {
 #pragma omp single
@@ -121,53 +129,48 @@ void ShardedSampler::stage(
         // and a shard assigned to an absent worker would never drain.
         const auto team = static_cast<std::size_t>(omp_get_num_threads());
         if (team != plan.total_workers) {
-          plan = ShardPlan::make(begin, end, config_.shards, team, topo);
+          plan = ShardPlan::make(job_begin, job_end, config.shards, team,
+                                 topo);
         }
         // One job pool per shard: stealing is confined to the shard's
         // worker group, so the locality the plan establishes survives
-        // imbalance. Arenas are worker-private (single writer each) and
-        // PERSISTENT — growing rounds keep appending into the same
-        // chunk set instead of mapping fresh arenas per round.
-        jobs.reserve(plan.shards.size());
-        for (const ShardPlan::Shard& shard : plan.shards) {
-          jobs.push_back(std::make_unique<JobPool>(
-              shard.size(), config_.batch_size,
-              std::max<std::size_t>(1, shard.worker_count)));
-        }
-        if (arenas.size() < plan.total_workers) {
-          arenas.resize(plan.total_workers);
+        // imbalance.
+        if (config.dynamic_balance) {
+          jobs.reserve(plan.shards.size());
+          for (const ShardPlan::Shard& shard : plan.shards) {
+            jobs.push_back(std::make_unique<JobPool>(
+                shard.size(), batch,
+                std::max<std::size_t>(1, shard.worker_count)));
+          }
         }
       }  // implicit barrier: every worker sees the final plan
 
       const auto wid = static_cast<std::size_t>(omp_get_thread_num());
       if (wid < plan.total_workers) {
-        SamplerScratch scratch(n);
-        ShardArena& arena = arenas[wid];
+        Scratch scratch(n);
+        ShardArena& arena = pool.arena(wid);
         for (const std::size_t s : plan.shards_for_worker(wid)) {
           const ShardPlan::Shard& shard = plan.shards[s];
           const std::size_t local = wid - shard.first_worker;
           // One span per worker-shard region: the trace shows which
           // domain each worker drained and for how long.
-          obs::TraceSpan span("sampler.shard", "shard",
+          obs::TraceSpan span(span_name, "shard",
                               static_cast<std::int64_t>(s), "domain",
                               shard.domain, "worker",
                               static_cast<std::int64_t>(wid));
-          for (JobBatch batch = jobs[s]->next(local); !batch.empty();
-               batch = jobs[s]->next(local)) {
-            for (std::size_t j = batch.begin; j < batch.end; ++j) {
-              const std::uint64_t global = shard.begin + j;
-              std::vector<VertexId> verts = sample_rrr(
-                  reverse_, config_.model, config_.rng_seed, global,
-                  scratch);
-              if (fused != nullptr) {
-                for (const VertexId v : verts) fused->increment(v);
+          if (config.dynamic_balance) {
+            for (JobBatch b = jobs[s]->next(local); !b.empty();
+                 b = jobs[s]->next(local)) {
+              for (std::size_t j = b.begin; j < b.end; ++j) {
+                job(scratch, arena, shard.begin + j);
               }
-              // Stage sorted: the run then IS the vector representation
-              // of the set, so selection can binary-search it in place.
-              std::sort(verts.begin(), verts.end());
-              auto& slot = refs[global - begin];
-              slot.first = static_cast<std::uint32_t>(wid);
-              slot.second = arena.append(verts);
+            }
+          } else {
+            const auto [lo, hi] = block_range(
+                shard.size(), std::max<std::size_t>(1, shard.worker_count),
+                local);
+            for (std::size_t j = lo; j < hi; ++j) {
+              job(scratch, arena, shard.begin + j);
             }
           }
         }
@@ -175,265 +178,129 @@ void ShardedSampler::stage(
     }
   }
 
-  stats_.numa_domains = topo.num_nodes();
-  stats_.sets_per_shard.clear();
-  stats_.shard_domains.clear();
-  stats_.sets_per_shard.reserve(plan.shards.size());
-  stats_.shard_domains.reserve(plan.shards.size());
-  for (const ShardPlan::Shard& shard : plan.shards) {
-    stats_.sets_per_shard.push_back(shard.size());
-    stats_.shard_domains.push_back(shard.domain);
-  }
   static const obs::Counter steal_counter =
       obs::counter("sampling.steals_total");
   static const obs::Counter staged_counter =
       obs::counter("sampling.staged_bytes_total");
-  stats_.steals_per_shard.assign(plan.shards.size(), 0);
+  stats.numa_domains = topo.num_nodes();
+  stats.sets_per_shard.clear();
+  stats.shard_domains.clear();
+  stats.steals_per_shard.assign(plan.shards.size(), 0);
   std::uint64_t round_steals = 0;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    stats_.steals_per_shard[s] = jobs[s]->steal_count();
-    round_steals += stats_.steals_per_shard[s];
+  for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+    const ShardPlan::Shard& shard = plan.shards[s];
+    // The slots this shard's jobs contribute to THIS round.
+    const std::uint64_t lo = std::max(begin, shard.begin * unit);
+    const std::uint64_t hi = std::min(end, shard.end * unit);
+    stats.sets_per_shard.push_back(hi > lo ? hi - lo : 0);
+    stats.shard_domains.push_back(shard.domain);
+    if (s < jobs.size()) stats.steals_per_shard[s] = jobs[s]->steal_count();
+    round_steals += stats.steals_per_shard[s];
   }
   steal_counter.add(round_steals);
-  std::uint64_t staged_after = 0;
-  const std::uint64_t staged_bytes_before = stats_.staged_bytes;
-  stats_.staged_bytes = 0;
-  stats_.mapped_bytes = 0;
-  for (const ShardArena& arena : arenas) {
-    staged_after += arena.runs();
-    stats_.staged_bytes += arena.staged_bytes();
-    stats_.mapped_bytes += arena.mapped_bytes();
-  }
-  if (stats_.staged_bytes > staged_bytes_before) {
-    staged_counter.add(stats_.staged_bytes - staged_bytes_before);
+  const std::uint64_t staged_before = stats.staged_bytes;
+  stats.staged_bytes = pool.staged_bytes();
+  stats.mapped_bytes = pool.mapped_bytes();
+  if (stats.staged_bytes > staged_before) {
+    staged_counter.add(stats.staged_bytes - staged_before);
   }
   // Every slot must have been staged exactly once; a scheduling bug here
   // would otherwise surface as silently-empty RRR sets far downstream.
-  EIMM_CHECK(staged_after - staged_before == count,
+  EIMM_CHECK(staged_runs() - runs_before == end - begin,
              "sharded generation lost RRR slots");
 }
 
-void ShardedSampler::stage_fused(
-    std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* counters,
-    std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
-  const std::uint64_t count = end - begin;
-  const NumaTopology& topo = numa_topology();
-  pin_openmp_team();
+}  // namespace
 
-  // Plan in BLOCK units: block b owns global slots [b*64, (b+1)*64), and
-  // the round covers blocks [begin/64, ceil(end/64)). A block is one
-  // indivisible job, so shard boundaries never split a traversal and the
-  // pool stays identical for every shard count. Only the ROUND range can
-  // clip a block's lane window (martingale growth is in slots).
-  const std::uint64_t block_begin = begin / kFusedLanes;
-  const std::uint64_t block_end = (end + kFusedLanes - 1) / kFusedLanes;
-  ShardPlan plan = ShardPlan::make(
-      block_begin, block_end, config_.shards,
-      static_cast<std::size_t>(omp_get_max_threads()), topo);
-  std::vector<std::unique_ptr<JobPool>> jobs;
-  refs.assign(count, {});
-  const VertexId n = reverse_.num_vertices();
-  // Batch size is configured in slots; convert to whole blocks.
-  const std::size_t block_batch =
-      std::max<std::size_t>(1, config_.batch_size / kFusedLanes);
-
-  std::uint64_t staged_before = 0;
-  for (const ShardArena& arena : arenas) staged_before += arena.runs();
-
-  static const obs::Counter traversals_counter =
-      obs::counter("sampler.fused.traversals_total");
-  static const obs::Counter fused_sets_counter =
-      obs::counter("sampler.fused.sets_total");
-  static const obs::Histogram sets_per_traversal =
-      obs::histogram("sampler.fused.sets_per_traversal");
-  // Average lanes per touched vertex: 64 means every lane shares every
-  // vertex (maximal traversal reuse), 1 means the lanes never overlapped
-  // and fusion only amortized bookkeeping.
-  static const obs::Histogram lane_occupancy =
-      obs::histogram("sampler.fused.lane_occupancy");
-
-  if (count > 0) {
-#pragma omp parallel
-    {
-#pragma omp single
-      {
-        const auto team = static_cast<std::size_t>(omp_get_num_threads());
-        if (team != plan.total_workers) {
-          plan = ShardPlan::make(block_begin, block_end, config_.shards, team,
-                                 topo);
-        }
-        jobs.reserve(plan.shards.size());
-        for (const ShardPlan::Shard& shard : plan.shards) {
-          jobs.push_back(std::make_unique<JobPool>(
-              shard.size(), block_batch,
-              std::max<std::size_t>(1, shard.worker_count)));
-        }
-        if (arenas.size() < plan.total_workers) {
-          arenas.resize(plan.total_workers);
-        }
-      }  // implicit barrier: every worker sees the final plan
-
-      const auto wid = static_cast<std::size_t>(omp_get_thread_num());
-      if (wid < plan.total_workers) {
-        FusedScratch scratch(n);
-        ShardArena& arena = arenas[wid];
-        std::uint64_t local_traversals = 0;
-        std::uint64_t local_sets = 0;
-        for (const std::size_t s : plan.shards_for_worker(wid)) {
-          const ShardPlan::Shard& shard = plan.shards[s];
-          const std::size_t local = wid - shard.first_worker;
-          obs::TraceSpan span("sampler.fused", "shard",
-                              static_cast<std::int64_t>(s), "domain",
-                              shard.domain, "worker",
-                              static_cast<std::int64_t>(wid));
-          for (JobBatch batch = jobs[s]->next(local); !batch.empty();
-               batch = jobs[s]->next(local)) {
-            for (std::size_t j = batch.begin; j < batch.end; ++j) {
-              const std::uint64_t block = shard.begin + j;
-              const std::uint64_t slot_lo =
-                  std::max(begin, block * kFusedLanes);
-              const std::uint64_t slot_hi =
-                  std::min(end, (block + 1) * kFusedLanes);
-              const auto lane_lo =
-                  static_cast<unsigned>(slot_lo - block * kFusedLanes);
-              const auto lane_hi =
-                  static_cast<unsigned>(slot_hi - block * kFusedLanes);
-              std::array<ShardArena::Ref, kFusedLanes> lane_refs;
-              const FusedTraversalStats tstats = sample_rrr_fused_into(
-                  reverse_, config_.model, config_.rng_seed, block, lane_lo,
-                  lane_hi, scratch, arena, lane_refs.data());
-              for (unsigned l = lane_lo; l < lane_hi; ++l) {
-                const ShardArena::Ref lane_ref = lane_refs[l - lane_lo];
-                if (counters != nullptr) {
-                  for (const VertexId v : arena.view(lane_ref)) {
-                    counters->increment(v);
-                  }
-                }
-                auto& slot = refs[block * kFusedLanes + l - begin];
-                slot.first = static_cast<std::uint32_t>(wid);
-                slot.second = lane_ref;
-              }
-              ++local_traversals;
-              local_sets += tstats.lanes;
-              sets_per_traversal.observe(tstats.lanes);
-              if (tstats.touched > 0) {
-                lane_occupancy.observe(tstats.members / tstats.touched);
-              }
-            }
-          }
-        }
-        traversals_counter.add(local_traversals);
-        fused_sets_counter.add(local_sets);
-      }
-    }
-  }
-
-  stats_.numa_domains = topo.num_nodes();
-  stats_.sets_per_shard.clear();
-  stats_.shard_domains.clear();
-  stats_.sets_per_shard.reserve(plan.shards.size());
-  stats_.shard_domains.reserve(plan.shards.size());
-  for (const ShardPlan::Shard& shard : plan.shards) {
-    // Shard sizes are in blocks here; report the slot count the shard's
-    // blocks contribute to THIS round, clipped to [begin, end).
-    const std::uint64_t lo =
-        std::max(begin, shard.begin * kFusedLanes);
-    const std::uint64_t hi = std::min(end, shard.end * kFusedLanes);
-    stats_.sets_per_shard.push_back(hi > lo ? hi - lo : 0);
-    stats_.shard_domains.push_back(shard.domain);
-  }
-  static const obs::Counter steal_counter =
-      obs::counter("sampling.steals_total");
-  static const obs::Counter staged_counter =
-      obs::counter("sampling.staged_bytes_total");
-  stats_.steals_per_shard.assign(plan.shards.size(), 0);
-  std::uint64_t round_steals = 0;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    stats_.steals_per_shard[s] = jobs[s]->steal_count();
-    round_steals += stats_.steals_per_shard[s];
-  }
-  steal_counter.add(round_steals);
-  std::uint64_t staged_after = 0;
-  const std::uint64_t staged_bytes_before = stats_.staged_bytes;
-  stats_.staged_bytes = 0;
-  stats_.mapped_bytes = 0;
-  for (const ShardArena& arena : arenas) {
-    staged_after += arena.runs();
-    stats_.staged_bytes += arena.staged_bytes();
-    stats_.mapped_bytes += arena.mapped_bytes();
-  }
-  if (stats_.staged_bytes > staged_bytes_before) {
-    staged_counter.add(stats_.staged_bytes - staged_bytes_before);
-  }
-  EIMM_CHECK(staged_after - staged_before == count,
-             "fused generation lost RRR slots");
-}
-
-void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
-                              std::uint64_t end, CounterArray* fused) {
-  EIMM_CHECK(end >= begin, "invalid generation range");
-  EIMM_CHECK(pool.size() >= end, "pool not resized for generation range");
-  EIMM_CHECK(mode_ != HandOff::kZeroCopy,
-             "sampler already used for zero-copy hand-off; one mode per "
-             "sampler (byte accounting is per-mode)");
-  mode_ = HandOff::kMerge;
-  const std::uint64_t count = end - begin;
-
-  // Merge rounds fully drain the staged data, so the arena chunks can be
-  // rewound and reused — mapped_bytes plateaus at the largest round
-  // while staged_bytes keeps accumulating.
-  for (ShardArena& arena : merge_arenas_) arena.reset();
-
-  std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
-  stage(merge_arenas_, begin, end, fused, refs);
-  if (count == 0) return;
-
-  // Merge: copy every staged run into its RRRPool slot. Slot content is a
-  // pure function of the global index, so the image bit-matches the
-  // unsharded build no matter how the runs were staged.
-  const bool adaptive = config_.adaptive_representation;
-  const VertexId n = reverse_.num_vertices();
-  std::uint64_t merged = 0;
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : merged)
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto& slot = refs[i];
-    const std::span<const VertexId> run =
-        merge_arenas_[slot.first].view(slot.second);
-    std::vector<VertexId> verts(run.begin(), run.end());
-    merged += run.size() * sizeof(VertexId);
-    pool[begin + i] =
-        adaptive ? RRRSet::make_adaptive(std::move(verts), n,
-                                         config_.bitmap_threshold)
-                 : RRRSet::make_vector(std::move(verts));
-  }
-  stats_.merged_bytes += merged;
+ShardedSampler::ShardedSampler(const CSRGraph& reverse, ShardedConfig config)
+    : reverse_(reverse), config_(std::move(config)) {
+  EIMM_CHECK(config_.shards >= 1, "shard count must be >= 1");
+  EIMM_CHECK(config_.batch_size > 0, "batch size must be positive");
 }
 
 void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
-                              std::uint64_t end, CounterArray* fused) {
+                              std::uint64_t end, CounterArray* counters) {
   EIMM_CHECK(end >= begin, "invalid generation range");
   EIMM_CHECK(pool.size() >= end, "pool not resized for generation range");
   EIMM_CHECK(pool.num_vertices() == reverse_.num_vertices(),
              "segmented pool sized for a different graph");
-  EIMM_CHECK(mode_ != HandOff::kMerge,
-             "sampler already used for merge hand-off; one mode per "
-             "sampler (byte accounting is per-mode)");
-  mode_ = HandOff::kZeroCopy;
-  const std::uint64_t count = end - begin;
+  const VertexId n = reverse_.num_vertices();
 
-  // The pool owns the arenas on this path (the staged runs ARE the pool,
-  // and must outlive the sampler), so stage() appends into them without
-  // ever resetting — earlier rounds' entries stay valid.
-  std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
-  pool.ensure_workers(static_cast<std::size_t>(omp_get_max_threads()));
-  std::vector<ShardArena>& arenas = pool.arenas_for_staging();
-  stage(arenas, begin, end, fused, refs);
-
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto& slot = refs[i];
-    pool.set_run(begin + i, arenas[slot.first].view(slot.second));
+  if (config_.fused && config_.model == DiffusionModel::kIndependentCascade) {
+    static const obs::Counter traversals_counter =
+        obs::counter("sampler.fused.traversals_total");
+    static const obs::Counter fused_sets_counter =
+        obs::counter("sampler.fused.sets_total");
+    static const obs::Histogram sets_per_traversal =
+        obs::histogram("sampler.fused.sets_per_traversal");
+    // Average lanes per touched vertex: 64 means every lane shares every
+    // vertex (maximal traversal reuse), 1 means the lanes never overlapped
+    // and fusion only amortized bookkeeping.
+    static const obs::Histogram lane_occupancy =
+        obs::histogram("sampler.fused.lane_occupancy");
+    // Jobs are 64-slot blocks: block b owns global slots [b*64, (b+1)*64)
+    // and is one indivisible job, so shard boundaries never split a
+    // traversal and the pool stays identical for every shard count. Only
+    // the ROUND range can clip a block's lane window (martingale growth
+    // is in slots).
+    const auto job = [&](FusedScratch& scratch, ShardArena& arena,
+                         std::uint64_t block) {
+      const std::uint64_t first = block * kFusedLanes;
+      const auto lane_lo =
+          static_cast<unsigned>(std::max(begin, first) - first);
+      const auto lane_hi = static_cast<unsigned>(
+          std::min(end, first + kFusedLanes) - first);
+      std::array<ShardArena::Ref, kFusedLanes> lane_refs;
+      const FusedTraversalStats tstats = sample_rrr_fused_into(
+          reverse_, config_.model, config_.rng_seed, block, lane_lo, lane_hi,
+          scratch, arena, lane_refs.data());
+      for (unsigned l = lane_lo; l < lane_hi; ++l) {
+        const std::span<const VertexId> run = arena.view(lane_refs[l - lane_lo]);
+        if (counters != nullptr) {
+          for (const VertexId v : run) counters->increment(v);
+        }
+        pool.set_run(first + l, run);
+      }
+      traversals_counter.add();
+      fused_sets_counter.add(tstats.lanes);
+      sets_per_traversal.observe(tstats.lanes);
+      if (tstats.touched > 0) {
+        lane_occupancy.observe(tstats.members / tstats.touched);
+      }
+    };
+    run_round<FusedScratch>(
+        reverse_, config_, pool, begin, end, kFusedLanes,
+        std::max<std::size_t>(1, config_.batch_size / kFusedLanes),
+        "sampler.fused", stats_, job);
+    return;
   }
+
+  const std::size_t cutoff = config_.adaptive_representation
+                                 ? bitmap_cutoff(n)
+                                 : std::numeric_limits<std::size_t>::max();
+  const std::size_t words = words_for_bits(n);
+  const auto job = [&](SamplerScratch& scratch, ShardArena& arena,
+                       std::uint64_t slot) {
+    std::vector<VertexId> verts =
+        sample_rrr(reverse_, config_.model, config_.rng_seed, slot, scratch);
+    if (counters != nullptr) {
+      for (const VertexId v : verts) counters->increment(v);
+    }
+    if (verts.size() >= cutoff) {
+      const std::span<std::uint64_t> bits = arena.allocate_bitmap(words);
+      for (const VertexId v : verts) {
+        bits[v >> 6] |= std::uint64_t{1} << (v & 63);
+      }
+      pool.set_bitmap(slot, bits.data(), verts.size());
+    } else {
+      // Sorted: the run then IS the vector representation of the set,
+      // so selection can binary-search it in place.
+      std::sort(verts.begin(), verts.end());
+      pool.set_run(slot, arena.view(arena.append(verts)));
+    }
+  };
+  run_round<SamplerScratch>(reverse_, config_, pool, begin, end, 1,
+                            config_.batch_size, "sampler.shard", stats_, job);
 }
 
 }  // namespace eimm

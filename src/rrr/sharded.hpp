@@ -1,4 +1,4 @@
-// NUMA-sharded RRR sampling pipeline (§IV-B taken to its conclusion).
+// NUMA-sharded RRR sampling (§IV-B): the one way a build fills its pool.
 //
 // The paper's Table II shows that WHERE the sampling phase's working set
 // lives dominates Generate_RRRsets runtime on multi-socket hosts. This
@@ -7,32 +7,30 @@
 //   1. ShardPlan splits the global RRR index range [begin, end) into
 //      contiguous shard slices (runtime/partition) and assigns each shard
 //      a NUMA domain plus a contiguous group of workers.
-//   2. Each worker samples its shard's slots through a per-shard JobPool
-//      (runtime/work_queue) — stealing stays confined to the shard, so a
-//      thread never migrates its working set across domains — and stages
-//      the SORTED vertex runs in a worker-private ShardArena
-//      (rrr/pool_view.hpp) whose pages are mbind'd kLocal (numa/alloc):
-//      first touch by the sampling worker places them on its own domain.
-//   3. Hand-off, two ways:
-//      * generate(SegmentedPool&, ...) — the zero-copy production path:
-//        the staged runs ARE the pool (slot entries point straight into
-//        the arena pages) and selection consumes them through
-//        RRRPoolView. No merge, no second copy of the vertex payload;
-//        ShardStats::merged_bytes stays 0.
-//      * generate(RRRPool&, ...) — the legacy merge path (dist/imm's
-//        wire-format accounting and the flatten-identity tests): staged
-//        runs are copied into RRRSet slots, producing the exact CSR
-//        image the unsharded path builds. The sampler's arenas are
-//        reset() between rounds — mapped chunks are REUSED, so
-//        mapped_bytes plateaus while staged_bytes accumulates.
+//   2. Each worker samples its shard's slots — through a per-shard
+//      stealing JobPool (runtime/work_queue) under dynamic balancing, so
+//      a thread never migrates its working set across domains, or as
+//      one contiguous block of the shard under the static split — and
+//      stages every set in its own ShardArena (rrr/pool_view.hpp), whose
+//      pages are mbind'd kLocal (numa/alloc): first touch by the
+//      sampling worker places them on its own domain.
+//   3. The staged sets ARE the pool: each SegmentedPool slot entry points
+//      straight into the arena pages, and selection consumes them in
+//      place through RRRPoolView. With adaptive representation on, a set
+//      of at least bitmap_cutoff(|V|) members is staged as a bitmap run
+//      and a smaller one as a sorted run (§IV-C); off, every set is a
+//      sorted run. Fused staging always writes sorted runs.
 //
-// Determinism: slot i's content depends only on (rng_seed, i) — the same
-// per-index streams the unsharded path uses — so every shard count,
-// worker count, steal schedule, and hand-off mode yields bit-identical
-// pool content (tests/statcheck enforces this). On single-node hosts the
-// kLocal policy falls back to first-touch and the pipeline degrades to
-// plain batched generation; shards == 1 callers should prefer the legacy
-// single-path loop in core/imm, which this layer bit-matches.
+// A one-shard plan is the single-domain case: one JobPool (or one static
+// split) over the whole round, the same schedule a plain parallel loop
+// would use. The Ripples baseline is the one-shard, static-split,
+// no-bitmap configuration of this sampler.
+//
+// Determinism: slot i's content depends only on (rng_seed, i) — one
+// per-index stream per slot — so every shard count, worker count,
+// schedule, and split yields bit-identical pool content (tests/statcheck
+// enforces this). On single-node hosts the kLocal policy falls back to
+// first-touch.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +41,6 @@
 #include "graph/csr.hpp"
 #include "numa/alloc.hpp"
 #include "numa/topology.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "rrr/set.hpp"
 #include "runtime/atomic_counters.hpp"
@@ -87,9 +84,7 @@ struct ShardPlan {
 };
 
 /// Pipeline diagnostics. The per-shard vectors describe the most recent
-/// round; the byte counters are CUMULATIVE over the sampler's lifetime so
-/// benches can see chunk reuse (staged grows past mapped) and the merge
-/// copy disappearing (merged stays 0 on the zero-copy path).
+/// round; the byte counters describe the pool's arenas after it.
 struct ShardStats {
   std::vector<std::uint64_t> sets_per_shard;
   std::vector<std::uint64_t> steals_per_shard;
@@ -98,9 +93,6 @@ struct ShardStats {
   std::uint64_t staged_bytes = 0;
   /// Arena chunk bytes currently mapped (plateaus under reset() reuse).
   std::uint64_t mapped_bytes = 0;
-  /// Payload bytes copied out of the arenas into RRRPool slots at merge,
-  /// cumulative. Zero on the generate(SegmentedPool&) zero-copy path.
-  std::uint64_t merged_bytes = 0;
   int numa_domains = 1;  ///< detected domains when the plan was made
 };
 
@@ -111,73 +103,43 @@ struct ShardedConfig {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
   std::uint64_t rng_seed = 0;
   std::size_t batch_size = 64;
-  /// Merge path only: build RRRSet::make_adaptive (true) or make_vector
-  /// (false). The zero-copy path always keeps sorted runs.
+  /// Stage sets of at least bitmap_cutoff(|V|) members as bitmap runs
+  /// (true) or every set as a sorted run (false). Scalar staging only.
   bool adaptive_representation = true;
-  double bitmap_threshold = kDefaultBitmapThreshold;
-  /// Fused 64-wide generation (rrr/fused.hpp): each traversal covers one
-  /// 64-slot block and emits up to 64 runs. Resolved already (use
-  /// resolve_fused_sampling()); slot contents depend only on
+  /// Per-shard stealing job pools (true) or one contiguous block of the
+  /// shard per worker (false, the static split).
+  bool dynamic_balance = true;
+  /// Fused 64-wide IC generation (rrr/fused.hpp): each traversal covers
+  /// one 64-slot block and emits up to 64 sorted runs. Resolved already
+  /// (use resolve_fused_sampling()); slot contents depend only on
   /// (rng_seed, block, lane window), so every shard count still yields
-  /// identical pools — but IC contents differ from the scalar mode.
+  /// identical pools — but contents differ from the scalar mode. LT
+  /// ignores the flag: its fused sets would equal the scalar ones.
   bool fused = false;
 };
 
 /// One sharded generation pipeline over a fixed reverse graph. generate()
 /// may be called repeatedly with growing ranges (the martingale rounds);
-/// stats() describes the most recent round plus cumulative bytes. A
-/// sampler instance must stick to ONE hand-off mode (enforced): the
-/// byte accounting is per-mode — each mode stages through its own arena
-/// set, so alternating modes would make staged/mapped/merged totals
-/// describe a mix of the two, breaking the "merged_bytes == 0 proves
-/// zero-copy" contract the bench and CI check.
+/// stats() describes the most recent round.
 class ShardedSampler {
  public:
   ShardedSampler(const CSRGraph& reverse, ShardedConfig config);
 
-  /// Legacy merge path: samples global slots [begin, end) into `pool`
-  /// (already resized to at least `end`), staging through the sampler's
-  /// own arenas (chunks reused across calls via reset()). When `fused`
-  /// is non-null every sampled vertex also increments the counter in
-  /// place (kernel fusion, Algorithm 3).
-  void generate(RRRPool& pool, std::uint64_t begin, std::uint64_t end,
-                CounterArray* fused);
-
-  /// Zero-copy path: samples global slots [begin, end) straight into
-  /// `pool`'s arenas (already resized to at least `end`); slot entries
-  /// point at the staged runs, which selection consumes in place via
-  /// RRRPoolView. No payload is ever copied out (merged_bytes stays 0).
+  /// Samples global slots [begin, end) straight into `pool`'s arenas
+  /// (`pool` already resized to at least `end`); slot entries point at
+  /// the staged sets, which selection consumes in place via
+  /// RRRPoolView. When `counters` is non-null every sampled vertex also
+  /// increments its counter (kernel fusion, Algorithm 3).
   void generate(SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
-                CounterArray* fused);
+                CounterArray* counters);
 
   [[nodiscard]] int num_shards() const noexcept { return config_.shards; }
   [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Shared staging engine: plans the round, pins the team, samples every
-  /// slot into `arenas`, then records (worker, ref) pairs into `refs`.
-  /// Delegates to stage_fused() when config_.fused is set.
-  void stage(std::vector<ShardArena>& arenas, std::uint64_t begin,
-             std::uint64_t end, CounterArray* fused,
-             std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
-
-  /// Fused staging: plans in 64-slot block units (a block is never split
-  /// across shards, so pool content is invariant under the shard count)
-  /// and samples each block with one 64-wide traversal. Round boundaries
-  /// may still clip a block's lane window — content then depends on the
-  /// round schedule, which is itself deterministic in (params, seed).
-  void stage_fused(std::vector<ShardArena>& arenas, std::uint64_t begin,
-                   std::uint64_t end, CounterArray* counters,
-                   std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
-
   const CSRGraph& reverse_;
   ShardedConfig config_;
   ShardStats stats_;
-  /// Merge-path staging arenas, persistent so reset() can reuse chunks.
-  std::vector<ShardArena> merge_arenas_;
-  /// Hand-off mode lock (see class comment).
-  enum class HandOff { kUnset, kMerge, kZeroCopy };
-  HandOff mode_ = HandOff::kUnset;
 };
 
 }  // namespace eimm

@@ -268,9 +268,9 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
 
   // Adopt the storage FIRST (pointers must target the store-owned
   // containers, not the about-to-die build), then wire one member
-  // pointer per sketch. Vector-represented sets and arena runs are
-  // already sorted contiguous images of themselves; only bitmap sets
-  // need expanding, into one shared side array.
+  // pointer per sketch. Sorted arena runs are already contiguous
+  // images of themselves; only bitmap runs need expanding, into one
+  // shared side array.
   const std::size_t count = store.num_sketches_;
   store.sketch_offsets_own_.resize(count + 1);
   store.sketch_offsets_own_[0] = 0;
@@ -294,37 +294,26 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
     return store;
   }
   store.entry_ptrs_.assign(count, nullptr);
-  if (build.segmented) {
-    store.backing_segments_ = std::move(build.segments);
-    for (std::size_t s = 0; s < count; ++s) {
-      const std::span<const VertexId> run = store.backing_segments_.run(s);
-      store.sketch_offsets_own_[s + 1] =
-          store.sketch_offsets_own_[s] + run.size();
-      store.entry_ptrs_[s] = run.data();
-    }
-  } else {
-    store.backing_pool_ = std::move(build.pool);
-    std::uint64_t bitmap_vertices = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      const RRRSet& set = store.backing_pool_[s];
-      store.sketch_offsets_own_[s + 1] =
-          store.sketch_offsets_own_[s] + set.size();
-      if (set.repr() == RRRRepr::kBitmap) bitmap_vertices += set.size();
-    }
-    // Reserve the exact expansion size up front: entry pointers go live
-    // as we fill, so the array must never reallocate.
-    store.bitmap_expansion_.resize(bitmap_vertices);
-    std::uint64_t cursor = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      const RRRSet& set = store.backing_pool_[s];
-      if (set.repr() == RRRRepr::kVector) {
-        store.entry_ptrs_[s] = set.vertices().data();
-      } else {
-        store.entry_ptrs_[s] = store.bitmap_expansion_.data() + cursor;
-        set.for_each([&](VertexId v) {
-          store.bitmap_expansion_[cursor++] = v;
-        });
-      }
+  store.backing_segments_ = std::move(build.segments);
+  const SegmentedPool& segments = store.backing_segments_;
+  std::uint64_t bitmap_vertices = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    const RRRSetView set = segments[s];
+    store.sketch_offsets_own_[s + 1] =
+        store.sketch_offsets_own_[s] + set.size();
+    if (set.repr() == RRRRepr::kBitmap) bitmap_vertices += set.size();
+  }
+  // Reserve the exact expansion size up front: entry pointers go live
+  // as we fill, so the array must never reallocate.
+  store.bitmap_expansion_.resize(bitmap_vertices);
+  std::uint64_t cursor = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    const RRRSetView set = segments[s];
+    if (set.repr() == RRRRepr::kVector) {
+      store.entry_ptrs_[s] = set.vertices().data();
+    } else {
+      store.entry_ptrs_[s] = store.bitmap_expansion_.data() + cursor;
+      set.for_each([&](VertexId v) { store.bitmap_expansion_[cursor++] = v; });
     }
   }
   store.sketch_offsets_ = store.sketch_offsets_own_;
@@ -431,7 +420,6 @@ void SketchStore::materialize_flat() {
   // The backing storage is now redundant; release it so a materialized
   // store costs the same as a loaded one.
   entry_ptrs_ = {};
-  backing_pool_ = RRRPool(num_vertices_);
   backing_segments_ = SegmentedPool();
   bitmap_expansion_ = {};
   compressed_ = false;
@@ -446,7 +434,7 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
   return sketch_offsets_own_.capacity() * sizeof(std::uint64_t) +
          sketch_vertices_own_.capacity() * sizeof(VertexId) +
          entry_ptrs_.capacity() * sizeof(const VertexId*) +
-         backing_pool_.memory_bytes() + backing_segments_.mapped_bytes() +
+         backing_segments_.memory_bytes() +
          bitmap_expansion_.capacity() * sizeof(VertexId) +
          backing_cpool_.memory_bytes() +
          comp_offsets_own_.capacity() * sizeof(std::uint64_t) +

@@ -171,10 +171,10 @@ class SketchStore {
 
   /// Zero-copy freeze: takes ownership of the build's storage (the
   /// CompressedPool on a pool-compressed build, the SegmentedPool
-  /// arenas on the sharded path, the RRRPool otherwise) and serves
-  /// sketches in place. Only bitmap-represented sets are expanded; the
-  /// contiguous image is deferred to save(). A compressed build stays
-  /// compressed: queries decode on enumerate (see for_each_member).
+  /// arenas otherwise) and serves sketches in place. Sorted runs are
+  /// pointed at; only bitmap runs are expanded; the contiguous image is
+  /// deferred to save(). A compressed build stays compressed: queries
+  /// decode on enumerate (see for_each_member).
   static SketchStore from_build(PoolBuild&& build, std::size_t k_max,
                                 SketchStoreMeta meta = {});
 
@@ -400,7 +400,6 @@ class SketchStore {
   /// Deferred backing (used iff !flat_ && !compressed_): per-sketch
   /// member pointers into the owned storage below.
   std::vector<const VertexId*> entry_ptrs_;
-  RRRPool backing_pool_{0};
   SegmentedPool backing_segments_;
   std::vector<VertexId> bitmap_expansion_;  // expanded bitmap sets only
 

@@ -72,7 +72,6 @@ TEST(JsonLog, PipelineBenchSchemaCarriesZeroCopyAccounting) {
   row.num_rrr_sets = 2048;
   row.staged_bytes = 777;
   row.mapped_bytes = 4096;
-  row.merged_bytes = 0;
   row.workspace_counter_allocs = 1;
   row.seeds_match_flat = true;
 
@@ -83,7 +82,6 @@ TEST(JsonLog, PipelineBenchSchemaCarriesZeroCopyAccounting) {
   EXPECT_NE(out.find("\"NumaDomains\": 2"), std::string::npos);
   EXPECT_NE(out.find("\"Path\": \"sharded-view\""), std::string::npos);
   EXPECT_NE(out.find("\"StagedBytes\": 777"), std::string::npos);
-  EXPECT_NE(out.find("\"MergedBytes\": 0"), std::string::npos);
   EXPECT_NE(out.find("\"WorkspaceCounterAllocs\": 1"), std::string::npos);
   EXPECT_NE(out.find("\"SeedsMatchFlat\": true"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "rrr/generate.hpp"
+#include "rrr/sharded.hpp"
 #include "runtime/rng_stream.hpp"
 #include "test_util.hpp"
 
@@ -126,25 +127,32 @@ TEST(FusedSampling, ProbabilityZeroIsRootOnlyAndRootsMatchScalar) {
 }
 
 TEST(FusedSampling, LTSetsAreBitIdenticalToScalar) {
-  // LT lanes replay the scalar walk draw-for-draw from the same stream,
-  // so equivalence is exact, not statistical.
+  // LT is never fused: the kernel rejects it, and a fused sampler stages
+  // LT through the scalar loop, so its sets are the scalar sets exactly.
   auto g = make_weighted_graph(gen_erdos_renyi(200, 1200, /*seed=*/11),
                                DiffusionModel::kLinearThreshold);
   FusedScratch scratch(g.num_vertices());
-  SamplerScratch scalar_scratch(g.num_vertices());
-  for (const std::uint64_t block : {0ull, 1ull, 9ull}) {
-    sample_rrr_fused(g.reverse, DiffusionModel::kLinearThreshold, kSeed, block,
-                     0, kFusedLanes, scratch);
-    for (unsigned l = 0; l < kFusedLanes; ++l) {
-      std::vector<VertexId> expected =
-          sample_rrr(g.reverse, DiffusionModel::kLinearThreshold, kSeed,
-                     block * kFusedLanes + l, scalar_scratch);
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(scratch.members[l], expected)
-          << "block " << block << " lane " << l;
-    }
-    expect_scratch_clean(scratch);
-  }
+  EXPECT_THROW(sample_rrr_fused(g.reverse, DiffusionModel::kLinearThreshold,
+                                kSeed, 0, 0, kFusedLanes, scratch),
+               CheckError);
+
+  constexpr std::size_t kSets = 10 * kFusedLanes;
+  ShardedConfig config;
+  config.shards = 2;
+  config.model = DiffusionModel::kLinearThreshold;
+  config.rng_seed = kSeed;
+  config.fused = true;
+  ShardedSampler sampler(g.reverse, config);
+  SegmentedPool pool(g.num_vertices());
+  pool.resize(kSets);
+  sampler.generate(pool, 0, kSets, nullptr);
+  const FlatPool fused = RRRPoolView(pool).flatten();
+  const FlatPool scalar =
+      testing::sample_pool(g, DiffusionModel::kLinearThreshold, kSets, kSeed,
+                           /*adaptive=*/true)
+          .flatten();
+  EXPECT_EQ(fused.offsets, scalar.offsets);
+  EXPECT_EQ(fused.vertices, scalar.vertices);
 }
 
 TEST(FusedSampling, PartialLaneWindowTouchesOnlyItsLanes) {
@@ -262,31 +270,29 @@ TEST(FusedSampling, RejectsEmptyGraphAndBadWindows) {
 TEST(FusedSampling, ArenaVariantMatchesMembersVariant) {
   // sample_rrr_fused_into is the staging-path twin: same traversal, runs
   // scattered straight into arena allocations. Outputs must be equal.
-  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
-                                     DiffusionModel::kLinearThreshold}) {
-    auto g = make_weighted_graph(gen_erdos_renyi(300, 2400, /*seed=*/17),
-                                 model);
-    FusedScratch a(g.num_vertices());
-    FusedScratch b(g.num_vertices());
-    ShardArena arena;
-    std::array<ShardArena::Ref, kFusedLanes> refs;
-    for (const std::uint64_t block : {0ull, 4ull}) {
-      const FusedTraversalStats sa =
-          sample_rrr_fused(g.reverse, model, kSeed, block, 0, kFusedLanes, a);
-      const FusedTraversalStats sb = sample_rrr_fused_into(
-          g.reverse, model, kSeed, block, 0, kFusedLanes, b, arena,
-          refs.data());
-      EXPECT_EQ(sa.lanes, sb.lanes);
-      EXPECT_EQ(sa.touched, sb.touched);
-      EXPECT_EQ(sa.members, sb.members);
-      for (unsigned l = 0; l < kFusedLanes; ++l) {
-        const std::span<const VertexId> run = arena.view(refs[l]);
-        EXPECT_EQ(std::vector<VertexId>(run.begin(), run.end()), a.members[l])
-            << "block " << block << " lane " << l;
-      }
-      expect_scratch_clean(a);
-      expect_scratch_clean(b);
+  const DiffusionModel model = DiffusionModel::kIndependentCascade;
+  auto g = make_weighted_graph(gen_erdos_renyi(300, 2400, /*seed=*/17),
+                               model);
+  FusedScratch a(g.num_vertices());
+  FusedScratch b(g.num_vertices());
+  ShardArena arena;
+  std::array<ShardArena::Ref, kFusedLanes> refs;
+  for (const std::uint64_t block : {0ull, 4ull}) {
+    const FusedTraversalStats sa =
+        sample_rrr_fused(g.reverse, model, kSeed, block, 0, kFusedLanes, a);
+    const FusedTraversalStats sb = sample_rrr_fused_into(
+        g.reverse, model, kSeed, block, 0, kFusedLanes, b, arena,
+        refs.data());
+    EXPECT_EQ(sa.lanes, sb.lanes);
+    EXPECT_EQ(sa.touched, sb.touched);
+    EXPECT_EQ(sa.members, sb.members);
+    for (unsigned l = 0; l < kFusedLanes; ++l) {
+      const std::span<const VertexId> run = arena.view(refs[l]);
+      EXPECT_EQ(std::vector<VertexId>(run.begin(), run.end()), a.members[l])
+          << "block " << block << " lane " << l;
     }
+    expect_scratch_clean(a);
+    expect_scratch_clean(b);
   }
 }
 

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "rrr/compressed.hpp"
-#include "rrr/gap_codec.hpp"
 #include "support/macros.hpp"
 #include "support/rng.hpp"
 
@@ -72,81 +68,6 @@ TEST(HuffmanCodec, CorruptStreamDetected) {
   auto encoded = HuffmanCodec::encode(data);
   encoded.bits.clear();  // truncate the payload entirely
   EXPECT_THROW(HuffmanCodec::decode(encoded), CheckError);
-}
-
-TEST(HuffmanSet, EmptySet) {
-  const HuffmanSet set = HuffmanSet::encode({});
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.decode().empty());
-  EXPECT_FALSE(set.contains(0));
-}
-
-TEST(HuffmanSet, RoundTrip) {
-  const HuffmanSet set = HuffmanSet::encode({9, 3, 9, 1, 200, 64});
-  EXPECT_EQ(set.size(), 5u);
-  EXPECT_EQ(set.decode(), (std::vector<VertexId>{1, 3, 9, 64, 200}));
-  EXPECT_TRUE(set.contains(64));
-  EXPECT_FALSE(set.contains(65));
-}
-
-TEST(HuffmanSet, RoundTripRandomSets) {
-  Xoshiro256 rng(11);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<VertexId> members;
-    const std::size_t count = 1 + rng.next_bounded(800);
-    for (std::size_t i = 0; i < count; ++i) {
-      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
-    }
-    const HuffmanSet set = HuffmanSet::encode(members);
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()),
-                  members.end());
-    EXPECT_EQ(set.decode(), members) << trial;
-  }
-}
-
-TEST(HuffmanSet, CompressesDenseRunsBeyondVarint) {
-  // Consecutive ids: gaps are all 1 -> a single-symbol byte stream that
-  // Huffman packs ~8x below the varint bytes (HBMax's win case).
-  std::vector<VertexId> run;
-  for (VertexId v = 5000; v < 15000; ++v) run.push_back(v);
-  const HuffmanSet huffman = HuffmanSet::encode(run);
-  const CompressedSet varint = CompressedSet::encode(run);
-  EXPECT_LT(huffman.memory_bytes(), varint.memory_bytes() / 4);
-  EXPECT_EQ(huffman.decode(), varint.decode());
-}
-
-TEST(HuffmanSet, VertexZeroAndLargeIds) {
-  const HuffmanSet set = HuffmanSet::encode({0, kInvalidVertex - 1});
-  EXPECT_TRUE(set.contains(0));
-  EXPECT_TRUE(set.contains(kInvalidVertex - 1));
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(HuffmanSet, EncodeBitIdenticalToCompressingVarintStream) {
-  // HuffmanSet::encode builds its gap bytes directly through the shared
-  // rrr/gap_codec encoder — the payload must be bit-identical to
-  // Huffman-coding the canonical gap stream of the same members.
-  Xoshiro256 rng(17);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<VertexId> members;
-    const std::size_t count = rng.next_bounded(600);
-    for (std::size_t i = 0; i < count; ++i) {
-      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
-    }
-    const HuffmanSet set = HuffmanSet::encode(members);
-
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()),
-                  members.end());
-    std::vector<std::uint8_t> gap_bytes;
-    append_gap_stream(gap_bytes, members);
-    const HuffmanCodec::Encoded reference = HuffmanCodec::encode(gap_bytes);
-
-    EXPECT_EQ(set.encoded().code_lengths, reference.code_lengths) << trial;
-    EXPECT_EQ(set.encoded().payload_bits, reference.payload_bits) << trial;
-    EXPECT_EQ(set.encoded().bits, reference.bits) << trial;
-  }
 }
 
 TEST(HuffmanCodec, OverstatedPayloadBitsThrows) {

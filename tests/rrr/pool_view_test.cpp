@@ -1,16 +1,18 @@
-// The zero-copy hand-off contract: a view over the legacy RRRPool and a
-// view over shard-local SegmentedPool storage holding the SAME sets must
-// be indistinguishable slot-by-slot — size, membership, enumeration
-// order, and the flattened CSR image — because the selection kernels'
-// bit-identical seed guarantee rests on exactly this equivalence. Also
-// covers the ShardArena reset() chunk-reuse semantics the sampler's
-// merge path depends on.
+// The zero-copy storage contract: a view over the legacy RRRPool and a
+// view over shard-local SegmentedPool storage holding the SAME sets —
+// as sorted runs or as bitmap runs — must be indistinguishable
+// slot-by-slot: size, membership, enumeration order, and the flattened
+// CSR image, because the selection kernels' bit-identical seed guarantee
+// rests on exactly this equivalence. Also covers the ShardArena reset()
+// chunk-reuse semantics the compressed-pool build depends on.
 #include "rrr/pool_view.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -20,17 +22,30 @@
 namespace eimm {
 namespace {
 
-/// Builds a SegmentedPool holding the same (sorted) member lists as the
-/// reference pool, staged through `workers` round-robin arenas — the
-/// layout the sharded sampler produces, minus the threads.
-SegmentedPool segment_pool(const RRRPool& reference, std::size_t workers) {
-  SegmentedPool segments(reference.num_vertices());
+/// Builds a SegmentedPool holding the same member lists as the reference
+/// pool, staged through `workers` round-robin arenas — the layout the
+/// sharded sampler produces, minus the threads. With `bitmaps`, the
+/// reference's bitmap sets are staged as bitmap runs; otherwise every
+/// set is a sorted run.
+SegmentedPool segment_pool(const RRRPool& reference, std::size_t workers,
+                           bool bitmaps = false) {
+  const VertexId n = reference.num_vertices();
+  SegmentedPool segments(n);
   segments.resize(reference.size());
   segments.ensure_workers(workers);
   for (std::size_t i = 0; i < reference.size(); ++i) {
     const std::vector<VertexId> sorted = reference[i].to_vector();
     ShardArena& arena = segments.arena(i % workers);
-    segments.set_run(i, arena.view(arena.append(sorted)));
+    if (bitmaps && reference[i].repr() == RRRRepr::kBitmap) {
+      const std::span<std::uint64_t> words =
+          arena.allocate_bitmap(words_for_bits(n));
+      for (const VertexId v : sorted) {
+        words[v >> 6] |= std::uint64_t{1} << (v & 63);
+      }
+      segments.set_bitmap(i, words.data(), sorted.size());
+    } else {
+      segments.set_run(i, arena.view(arena.append(sorted)));
+    }
   }
   return segments;
 }
@@ -90,6 +105,28 @@ TEST(RRRPoolView, SegmentBackingMatchesAdaptivePoolWithBitmaps) {
   EXPECT_FALSE(legacy.segmented());
 }
 
+TEST(RRRPoolView, BitmapRunsMatchAdaptivePoolBitmaps) {
+  // Bitmap runs are the arena form of RRRSet's bitmaps: same slots,
+  // same bitmap count, same flattened image.
+  const RRRPool pool = sampled_pool(/*adaptive=*/true);
+  ASSERT_GT(pool.bitmap_count(), 0u);
+  ASSERT_LT(pool.bitmap_count(), pool.size());
+  const SegmentedPool segments = segment_pool(pool, 3, /*bitmaps=*/true);
+  const RRRPoolView legacy(pool);
+  const RRRPoolView zero_copy(segments);
+  expect_views_identical(legacy, zero_copy);
+  EXPECT_EQ(zero_copy.bitmap_count(), pool.bitmap_count());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(zero_copy[i].repr(), pool[i].repr()) << "slot " << i;
+  }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (VertexId v = 0; v < pool.num_vertices(); v += 3) {
+      EXPECT_EQ(zero_copy[i].contains(v), pool[i].contains(v))
+          << "slot " << i << " vertex " << v;
+    }
+  }
+}
+
 TEST(RRRPoolView, ContainsRejectsNonMembersOnBothBackings) {
   const RRRPool pool = sampled_pool(/*adaptive=*/false, 50);
   const SegmentedPool segments = segment_pool(pool, 2);
@@ -119,7 +156,70 @@ TEST(RRRSetView, VerticesSpanMatchesSetVectorRepresentation) {
                          run_view.vertices().end(), view.vertices().begin()));
 }
 
-// --- ShardArena reset/reuse (the merge path's round-to-round contract) ---
+TEST(RRRSetView, BitmapRunMembershipAtWordEdges) {
+  // n = 130 is not a multiple of 64: the last word is partial.
+  constexpr VertexId kVertices = 130;
+  const std::vector<VertexId> members = {129, 0, 64, 5, 63, 100};
+  ShardArena arena;
+  const std::span<std::uint64_t> words =
+      arena.allocate_bitmap(words_for_bits(kVertices));
+  ASSERT_EQ(words.size(), 3u);
+  for (const VertexId v : members) {
+    words[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  const RRRSetView view =
+      RRRSetView::bitmap(words.data(), kVertices, members.size());
+
+  EXPECT_EQ(view.repr(), RRRRepr::kBitmap);
+  EXPECT_EQ(view.size(), members.size());
+  EXPECT_FALSE(view.empty());
+  EXPECT_TRUE(view.vertices().empty());  // no materialized member list
+  for (const VertexId v : {0u, 63u, 64u, 129u, 5u, 100u}) {
+    EXPECT_TRUE(view.contains(v)) << v;
+  }
+  for (const VertexId v : {1u, 62u, 65u, 127u, 128u, 130u, 4000u}) {
+    EXPECT_FALSE(view.contains(v)) << v;
+  }
+
+  std::vector<VertexId> enumerated;
+  view.for_each([&](VertexId v) { enumerated.push_back(v); });
+  std::vector<VertexId> sorted = members;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(enumerated, sorted);
+
+  // flatten() expands the bitmap run beside a sorted run.
+  SegmentedPool segments(kVertices);
+  segments.resize(2);
+  segments.set_bitmap(0, words.data(), members.size());
+  const std::vector<VertexId> run = {7, 9};
+  segments.set_run(1, arena.view(arena.append(run)));
+  const RRRPoolView pool_view(segments);
+  EXPECT_EQ(pool_view.bitmap_count(), 1u);
+  EXPECT_EQ(pool_view.total_vertices(), members.size() + run.size());
+  const FlatPool flat = pool_view.flatten();
+  EXPECT_EQ(flat.offsets, (std::vector<std::uint64_t>{0, 6, 8}));
+  EXPECT_EQ(flat.vertices,
+            (std::vector<VertexId>{0, 5, 63, 64, 100, 129, 7, 9}));
+}
+
+// --- ShardArena staging and reset/reuse ---
+
+TEST(ShardArena, BitmapRunsAreAlignedAndZeroed) {
+  ShardArena arena(/*chunk_vertices=*/64);
+  const std::vector<VertexId> odd = {1, 2, 3};
+  for (int round = 0; round < 2; ++round) {
+    arena.append(odd);  // leaves the cursor on an odd 4-byte unit
+    const std::span<std::uint64_t> words = arena.allocate_bitmap(5);
+    ASSERT_EQ(words.size(), 5u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.data()) % 8, 0u);
+    for (const std::uint64_t w : words) EXPECT_EQ(w, 0u) << round;
+    // Dirty the words: the reused chunk must come back zeroed.
+    for (std::uint64_t& w : words) w = ~std::uint64_t{0};
+    arena.reset();
+  }
+  EXPECT_EQ(arena.runs(), 4u);
+  EXPECT_EQ(arena.staged_bytes(), 2 * (3 * sizeof(VertexId) + 5 * 8));
+}
 
 TEST(ShardArena, ResetReusesMappedChunksAcrossRounds) {
   ShardArena arena(/*chunk_vertices=*/16);

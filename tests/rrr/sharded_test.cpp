@@ -1,10 +1,10 @@
 // Property and negative-path coverage for the NUMA-sharded sampling
-// pipeline: plan partitioning invariants, arena staging, and the merge's
-// bit-identity with the serial reference under degenerate shapes —
-// empty shards, one giant shard, shard count > thread count > node
+// pipeline: plan partitioning invariants, arena staging, and the staged
+// pool's bit-identity with the serial reference under degenerate shapes
+// — empty shards, one giant shard, shard count > thread count > node
 // count, and oversubscribed thread requests via resolve_threads. The
 // whole file is sanitizer-hot: it runs under the asan preset like every
-// suite, and the arena/merge paths are exactly what ASan needs to see.
+// suite, and the arena paths are exactly what ASan needs to see.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,20 +34,41 @@ ShardedConfig config_for(DiffusionModel model, int shards,
 }
 
 /// Generates `count` sets through the sharded pipeline and asserts the
-/// flattened image matches the serial per-index reference sampler.
-void expect_matches_serial(const DiffusionGraph& g, DiffusionModel model,
-                           std::size_t count, int shards, bool adaptive) {
-  ShardedSampler sampler(g.reverse, config_for(model, shards, adaptive));
-  RRRPool pool(g.num_vertices());
+/// flattened image — and which sets are bitmap runs — matches the serial
+/// per-index reference sampler.
+void expect_matches_serial(const DiffusionGraph& g, const ShardedConfig& config,
+                           std::size_t count) {
+  ShardedSampler sampler(g.reverse, config);
+  SegmentedPool pool(g.num_vertices());
   pool.resize(count);
   sampler.generate(pool, 0, count, nullptr);
 
-  const RRRPool reference =
-      testing::sample_pool(g, model, count, 0xABCD, adaptive);
-  const FlatPool a = pool.flatten();
+  const RRRPool reference = testing::sample_pool(
+      g, config.model, count, 0xABCD, config.adaptive_representation);
+  const FlatPool a = RRRPoolView(pool).flatten();
   const FlatPool b = reference.flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(pool[i].repr(), reference[i].repr()) << "slot " << i;
+  }
+}
+
+void expect_matches_serial(const DiffusionGraph& g, DiffusionModel model,
+                           std::size_t count, int shards, bool adaptive) {
+  expect_matches_serial(g, config_for(model, shards, adaptive), count);
+}
+
+/// Arena bytes a pool of `reference`'s sets stages: bitmap words for
+/// bitmap sets, 4-byte ids for sorted runs.
+std::uint64_t staged_payload_bytes(const RRRPool& reference) {
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    bytes += reference[i].repr() == RRRRepr::kBitmap
+                 ? words_for_bits(reference.num_vertices()) * 8
+                 : reference[i].size() * sizeof(VertexId);
+  }
+  return bytes;
 }
 
 // --- ShardPlan invariants ---
@@ -145,7 +166,7 @@ TEST(ShardArena, RunLargerThanChunkGetsDedicatedChunk) {
   EXPECT_GE(arena.mapped_bytes(), giant.size() * sizeof(VertexId));
 }
 
-// --- Merge bit-identity under degenerate shapes ---
+// --- Bit-identity with the serial reference under degenerate shapes ---
 
 TEST(ShardedSampler, EmptyShardsMergeCleanly) {
   // 3 sets across 8 shards: five shards stage nothing.
@@ -163,7 +184,7 @@ TEST(ShardedSampler, ZeroSetsIsANoOp) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade);
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 4));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   sampler.generate(pool, 0, 0, nullptr);
   EXPECT_EQ(pool.size(), 0u);
   std::uint64_t staged = 0;
@@ -190,10 +211,64 @@ TEST(ShardedSampler, OversubscribedThreadsViaResolveThreads) {
 }
 
 TEST(ShardedSampler, VectorOnlyRepresentationMatchesSerial) {
-  // The dist/ wire format path (adaptive_representation = false).
+  // The dist/ wire format and Ripples configuration
+  // (adaptive_representation = false): sorted runs only.
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 29);
   expect_matches_serial(g, DiffusionModel::kIndependentCascade, 150, 4,
                         false);
+  ShardedSampler sampler(
+      g.reverse, config_for(DiffusionModel::kIndependentCascade, 4, false));
+  SegmentedPool pool(g.num_vertices());
+  pool.resize(150);
+  sampler.generate(pool, 0, 150, nullptr);
+  EXPECT_EQ(RRRPoolView(pool).bitmap_count(), 0u);
+}
+
+TEST(ShardedSampler, AdaptiveStagesDenseSetsAsBitmapRuns) {
+  // A set of at least bitmap_cutoff(n) members becomes a bitmap run;
+  // smaller sets stay sorted runs.
+  const auto g = small_graph(DiffusionModel::kIndependentCascade, 71);
+  const auto model = DiffusionModel::kIndependentCascade;
+  constexpr std::size_t kSets = 200;
+  ShardedSampler sampler(g.reverse, config_for(model, 2));
+  SegmentedPool pool(g.num_vertices());
+  pool.resize(kSets);
+  sampler.generate(pool, 0, kSets, nullptr);
+
+  const RRRPool reference =
+      testing::sample_pool(g, model, kSets, 0xABCD, /*adaptive=*/false);
+  const std::size_t cutoff = bitmap_cutoff(g.num_vertices());
+  std::size_t dense = 0;
+  for (std::size_t i = 0; i < kSets; ++i) {
+    const bool is_dense = reference[i].size() >= cutoff;
+    dense += is_dense ? 1 : 0;
+    EXPECT_EQ(pool[i].repr(),
+              is_dense ? RRRRepr::kBitmap : RRRRepr::kVector)
+        << "slot " << i;
+    EXPECT_EQ(pool[i].size(), reference[i].size()) << "slot " << i;
+  }
+  ASSERT_GT(dense, 0u) << "workload produced no dense sets";
+  ASSERT_LT(dense, kSets) << "workload produced no sparse sets";
+  EXPECT_EQ(RRRPoolView(pool).bitmap_count(), dense);
+}
+
+TEST(ShardedSampler, StaticSplitMatchesSerial) {
+  // dynamic_balance = false: one contiguous block per worker, no steals.
+  const auto g = small_graph(DiffusionModel::kLinearThreshold, 73);
+  for (const int shards : {1, 3}) {
+    ShardedConfig config =
+        config_for(DiffusionModel::kLinearThreshold, shards);
+    config.dynamic_balance = false;
+    expect_matches_serial(g, config, 157);
+
+    ShardedSampler sampler(g.reverse, config);
+    SegmentedPool pool(g.num_vertices());
+    pool.resize(157);
+    sampler.generate(pool, 0, 157, nullptr);
+    for (const std::uint64_t steals : sampler.stats().steals_per_shard) {
+      EXPECT_EQ(steals, 0u);
+    }
+  }
 }
 
 TEST(ShardedSampler, GrowingRangesMatchOneShotGeneration) {
@@ -202,19 +277,19 @@ TEST(ShardedSampler, GrowingRangesMatchOneShotGeneration) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 31);
   const auto model = DiffusionModel::kIndependentCascade;
   ShardedSampler incremental(g.reverse, config_for(model, 3));
-  RRRPool grown(g.num_vertices());
+  SegmentedPool grown(g.num_vertices());
   grown.resize(40);
   incremental.generate(grown, 0, 40, nullptr);
   grown.resize(170);
   incremental.generate(grown, 40, 170, nullptr);
 
   ShardedSampler oneshot(g.reverse, config_for(model, 3));
-  RRRPool whole(g.num_vertices());
+  SegmentedPool whole(g.num_vertices());
   whole.resize(170);
   oneshot.generate(whole, 0, 170, nullptr);
 
-  const FlatPool a = grown.flatten();
-  const FlatPool b = whole.flatten();
+  const FlatPool a = RRRPoolView(grown).flatten();
+  const FlatPool b = RRRPoolView(whole).flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 }
@@ -225,7 +300,7 @@ TEST(ShardedSampler, FusedCountersCountMembership) {
   constexpr std::size_t kSets = 120;
 
   ShardedSampler sampler(g.reverse, config_for(model, 4));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(kSets);
   CounterArray counters(g.num_vertices());
   sampler.generate(pool, 0, kSets, &counters);
@@ -241,7 +316,7 @@ TEST(ShardedSampler, StatsDescribeThePlan) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 41);
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 4));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(100);
   sampler.generate(pool, 0, 100, nullptr);
 
@@ -274,10 +349,8 @@ TEST(ShardedSampler, ZeroCopyGenerateMatchesSerialReference) {
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 
-  // The zero-copy contract: payload staged once, merged never.
-  EXPECT_EQ(sampler.stats().merged_bytes, 0u);
-  EXPECT_EQ(sampler.stats().staged_bytes,
-            reference.total_vertices() * sizeof(VertexId));
+  // Every set was staged exactly once, in its adaptive representation.
+  EXPECT_EQ(sampler.stats().staged_bytes, staged_payload_bytes(reference));
 }
 
 TEST(ShardedSampler, ZeroCopyGrowingRangesRetainEarlierRounds) {
@@ -324,10 +397,10 @@ TEST(ShardedSampler, ZeroCopyFusedCountersCountMembership) {
   EXPECT_EQ(counters.snapshot(), expected);
 }
 
-TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {
-  // Round N+1's merge-path staging must reuse the chunks round N mapped:
-  // mapped_bytes plateaus while staged_bytes keeps accumulating, and
-  // every merged byte is accounted.
+TEST(ShardedSampler, ResetArenasReusesChunksAcrossRounds) {
+  // The compressed-pool build rewinds the pool's arenas after encoding
+  // each round: round N+1 must reuse the chunks round N mapped, so
+  // mapped_bytes plateaus while staged_bytes keeps accumulating.
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 61);
   // Two workers, one per shard: every worker stages in BOTH rounds, so
   // the mapped-bytes plateau is deterministic (with more workers than
@@ -335,23 +408,29 @@ TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {
   ThreadCountScope scope(2);
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 2));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
 
   pool.resize(100);
   sampler.generate(pool, 0, 100, nullptr);
   const ShardStats round1 = sampler.stats();
   ASSERT_GT(round1.staged_bytes, 0u);
-  ASSERT_GT(round1.merged_bytes, 0u);
-  EXPECT_EQ(round1.merged_bytes, round1.staged_bytes);
+  EXPECT_EQ(round1.mapped_bytes, pool.mapped_bytes());
 
+  pool.reset_arenas();
   pool.resize(200);
   sampler.generate(pool, 100, 200, nullptr);
   const ShardStats round2 = sampler.stats();
   EXPECT_GT(round2.staged_bytes, round1.staged_bytes);
-  EXPECT_EQ(round2.merged_bytes, round2.staged_bytes);
   // Similar round volume → the reused chunks absorb it without mapping
   // a fresh arena set (chunk granularity is far above these payloads).
   EXPECT_EQ(round2.mapped_bytes, round1.mapped_bytes);
+  const RRRPool reference = testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, 200, 0xABCD, /*adaptive=*/true);
+  for (std::size_t i = 100; i < 200; ++i) {
+    std::vector<VertexId> members;
+    pool[i].for_each([&](VertexId v) { members.push_back(v); });
+    EXPECT_EQ(members, reference[i].to_vector()) << "slot " << i;
+  }
 }
 
 TEST(ShardedSampler, RejectsInvalidConfigurations) {
@@ -368,29 +447,12 @@ TEST(ShardedSampler, RejectsInvalidConfigurations) {
 
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 2));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(10);
   EXPECT_THROW(sampler.generate(pool, 0, 11, nullptr), CheckError);
-}
-
-TEST(ShardedSampler, RejectsMixedHandOffModes) {
-  // One sampler, one mode: the cumulative byte accounting is per-mode,
-  // so a merge round on a sampler that already served zero-copy (or
-  // vice versa) must fail loudly rather than pollute the stats.
-  const auto g = small_graph(DiffusionModel::kIndependentCascade, 67);
-  const auto config = config_for(DiffusionModel::kIndependentCascade, 2);
-
-  ShardedSampler zero_copy_first(g.reverse, config);
-  SegmentedPool segments(g.num_vertices());
-  segments.resize(10);
-  zero_copy_first.generate(segments, 0, 10, nullptr);
-  RRRPool pool(g.num_vertices());
-  pool.resize(10);
-  EXPECT_THROW(zero_copy_first.generate(pool, 0, 10, nullptr), CheckError);
-
-  ShardedSampler merge_first(g.reverse, config);
-  merge_first.generate(pool, 0, 10, nullptr);
-  EXPECT_THROW(merge_first.generate(segments, 0, 10, nullptr), CheckError);
+  SegmentedPool other_graph(g.num_vertices() + 1);
+  other_graph.resize(10);
+  EXPECT_THROW(sampler.generate(other_graph, 0, 10, nullptr), CheckError);
 }
 
 }  // namespace

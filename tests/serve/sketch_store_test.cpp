@@ -202,9 +202,14 @@ TEST(SketchStore, FromBuildAdoptsSegmentedStorageZeroCopy) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
   ImmOptions options = deferred_options();
-  options.shards = 3;  // force the SegmentedPool backing
+  options.shards = 3;
+  options.pool_compress = PoolCompression::kNone;
+  options.fused_sampling = FusedSampling::kOff;
   PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
-  ASSERT_TRUE(build.segmented);
+  ASSERT_TRUE(build.view().segmented());
+  // Dense IC sets are bitmap runs: the store expands them, and points
+  // at the sorted runs in place.
+  EXPECT_GT(build.view().bitmap_count(), 0u);
   const FlatPool expected = build.view().flatten();
 
   const SketchStore store =

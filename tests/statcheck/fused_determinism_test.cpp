@@ -55,7 +55,9 @@ TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
         opt.shards = shards;
         opt.pool_compress = compress;
         const ImmResult fused = run_imm(g, opt, Engine::kEfficient);
-        EXPECT_TRUE(fused.fused_sampling_used);
+        // LT is sampled by the scalar kernel even when fused.
+        EXPECT_EQ(fused.fused_sampling_used,
+                  model == DiffusionModel::kIndependentCascade);
         const auto cmp =
             compare_spread(g, model, scalar.seeds, fused.seeds);
         EXPECT_TRUE(cmp.within(kSpreadTolerance))
@@ -94,7 +96,6 @@ TEST(FusedDeterminism, EveryShardCountProducesTheSameFusedImage) {
   opt.shards = 1;
   const PoolBuild reference = build_rrr_pool(g, opt, Engine::kEfficient);
   ASSERT_TRUE(reference.fused_sampling_used);
-  ASSERT_TRUE(reference.segmented);  // fused always stages segmented
   const FlatPool reference_flat = reference.view().flatten();
 
   for (const int shards : {2, 3, 5, 8}) {
@@ -153,8 +154,8 @@ TEST(FusedDeterminism, TinyWorkloadsSurviveTheFullPipeline) {
     ShardedSampler sampler(g.reverse, config);
     sampler.generate(pool, 0, kSets, nullptr);
     for (std::uint64_t i = 0; i < kSets; ++i) {
-      const auto a = reference.run(i);
-      const auto b = pool.run(i);
+      const auto a = reference[i].vertices();
+      const auto b = pool[i].vertices();
       ASSERT_EQ(a.size(), b.size()) << "shards=" << shards << " slot=" << i;
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
           << "shards=" << shards << " slot=" << i;
@@ -191,8 +192,8 @@ TEST(FusedDeterminism, RoundSplitWindowsComposeToTheFullRange) {
   split_sampler2.generate(split_pool2, 100, kSets, nullptr);
 
   for (std::uint64_t i = 0; i < kSets; ++i) {
-    const auto a = split_pool.run(i);
-    const auto b = split_pool2.run(i);
+    const auto a = split_pool[i].vertices();
+    const auto b = split_pool2[i].vertices();
     ASSERT_EQ(a.size(), b.size()) << "slot=" << i;
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "slot=" << i;
   }

@@ -1,9 +1,8 @@
 // Determinism regressions for the sharded sampling pipeline:
 //   * same (workload, seed, epsilon, shards) → bit-identical
-//     RRRPool::flatten() CSR image across repeated runs;
-//   * shards == 1 (explicit or via EIMM_SHARDS=1) routes through the
-//     legacy single-path generation loop and bit-matches the serial
-//     per-index reference sampler;
+//     flatten() CSR image across repeated runs;
+//   * shards == 1 (explicit or via EIMM_SHARDS=1) samples as one shard
+//     and bit-matches the serial per-index reference sampler;
 //   * every shard count produces the same image — shard count moves
 //     placement and scheduling, never content;
 //   * the selection-phase analogues: every EIMM_COUNTER_SHARDS value and
@@ -60,8 +59,7 @@ TEST(ShardedDeterminism, ShardsOneBitMatchesSerialReferenceSampler) {
   const PoolBuild build = build_rrr_pool(g, opt, Engine::kEfficient);
   EXPECT_EQ(build.shards_used, 1);
 
-  // The serial reference: one RRR set per index from (seed, index), the
-  // contract the pre-sharding path has always satisfied.
+  // The serial reference: one RRR set per index from (seed, index).
   const RRRPool reference = testing::sample_pool(
       g, opt.model, build.size(), opt.rng_seed, /*adaptive=*/true);
   expect_flat_equal(build.view().flatten(), reference.flatten());
@@ -94,7 +92,6 @@ TEST(ShardedDeterminism, EveryShardCountProducesTheSameImage) {
     opt.shards = shards;
     const PoolBuild sharded = build_rrr_pool(g, opt, Engine::kEfficient);
     EXPECT_EQ(sharded.shards_used, shards);
-    ASSERT_TRUE(sharded.segmented);
     expect_flat_equal(reference_flat, sharded.view().flatten());
   }
 }
