@@ -2,7 +2,7 @@
 // the sketch_server admission/batching layer, for mmap- vs stream-loaded
 // snapshots.
 //
-// Builds a store once, saves a v2 snapshot, then for each load mode:
+// Builds a store once, saves a v4 snapshot, then for each load mode:
 //   1. cold-start: time load_file() (best of EIMM_BENCH_REPS) and record
 //      the SnapshotLoadStats byte accounting — the mmap row must show
 //      bytes_copied == 0 (the zero-copy acceptance counter) and a

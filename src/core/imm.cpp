@@ -110,9 +110,12 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   }
   build.shards_used =
       engine == Engine::kEfficient ? resolve_shards(options.shards) : 1;
+  // The fused kernel is IC-only (LT sets would equal the scalar ones), so
+  // the flag means "the fused kernel ran" and drives the sampler as-is.
   build.fused_sampling_used =
       engine == Engine::kEfficient &&
-      resolve_fused_sampling(options.fused_sampling);
+      resolve_fused_sampling(options.fused_sampling) &&
+      options.model == DiffusionModel::kIndependentCascade;
 
   // Compressed backing (kEfficient only): rounds are gap-coded into
   // build.cpool as they land, and the segment arenas are recycled, so
@@ -249,10 +252,7 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.rebuild_rounds = final_selection.rebuild_rounds;
   result.threads_used = omp_get_max_threads();
   result.shards_used = build.shards_used;
-  // The sampler stages LT through the scalar loop even when fused.
-  result.fused_sampling_used =
-      build.fused_sampling_used &&
-      options.model == DiffusionModel::kIndependentCascade;
+  result.fused_sampling_used = build.fused_sampling_used;
   result.counter_shards_used = resolved_counter_shards(options, engine);
   result.counter_layout_allocations = build.workspace.counter_allocations();
   result.final_selection_reused = reuse;

@@ -238,9 +238,9 @@ struct PoolBuild {
   double probing_selection_seconds = 0.0;
   /// Resolved sampling shard count.
   int shards_used = 1;
-  /// Whether the sampler ran in fused 64-wide mode (resolved from the
-  /// option and EIMM_FUSED). An LT build still samples every set through
-  /// the scalar kernel, so its sets equal the unfused build's.
+  /// Whether the fused 64-wide kernel sampled the pool (resolved from
+  /// the option and EIMM_FUSED; false for LT, which the kernel does not
+  /// fuse — an LT build's sets equal the unfused build's).
   bool fused_sampling_used = false;
   std::vector<MartingaleIteration> iterations;
 

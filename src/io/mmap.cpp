@@ -20,19 +20,29 @@ namespace {
   throw CheckError(what + " '" + path + "': " + std::strerror(errno));
 }
 
+/// A writable private anonymous mapping of `size` bytes (size > 0).
+std::uint8_t* map_anonymous(std::size_t size, const std::string& what) {
+  void* base = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) fail_errno("cannot allocate a private copy of", what);
+  return static_cast<std::uint8_t*>(base);
+}
+
 }  // namespace
 
 MappedFile::~MappedFile() { reset(); }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
+      size_(std::exchange(other.size_, 0)),
+      owned_(std::exchange(other.owned_, false)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
     reset();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    owned_ = std::exchange(other.owned_, false);
   }
   return *this;
 }
@@ -68,11 +78,57 @@ MappedFile MappedFile::open_readonly(const std::string& path) {
   return file;
 }
 
+MappedFile MappedFile::read_private(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail_errno("cannot open file for reading", path);
+  MappedFile file;
+  try {
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) fail_errno("cannot stat file for reading", path);
+    if (st.st_size <= 0) {
+      throw CheckError("cannot read zero-length file '" + path + "'");
+    }
+    const auto size = static_cast<std::size_t>(st.st_size);
+    std::uint8_t* base = map_anonymous(size, path);
+    file.data_ = base;
+    file.size_ = size;
+    file.owned_ = true;
+    for (std::size_t done = 0; done < size;) {
+      const ssize_t got = ::read(fd, base + done, size - done);
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) fail_errno("cannot read file", path);
+      if (got == 0) {
+        throw CheckError("file '" + path + "' shrank while being read");
+      }
+      done += static_cast<std::size_t>(got);
+    }
+    ::mprotect(base, size, PROT_READ);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+  return file;
+}
+
+MappedFile MappedFile::copy_private(const void* data, std::size_t size) {
+  MappedFile file;
+  if (size == 0) return file;
+  std::uint8_t* base = map_anonymous(size, "an in-memory image");
+  std::memcpy(base, data, size);
+  ::mprotect(base, size, PROT_READ);
+  file.data_ = base;
+  file.size_ = size;
+  file.owned_ = true;
+  return file;
+}
+
 void MappedFile::reset() noexcept {
   if (data_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
     data_ = nullptr;
     size_ = 0;
+    owned_ = false;
   }
 }
 

@@ -7,7 +7,10 @@
 // MappedFile is deliberately tiny: open, map, expose (data, size), and
 // unmap on destruction. Alignment guarantees come from mmap itself (the
 // base is page-aligned), so a page-aligned on-disk section can be
-// reinterpreted as a typed array directly from the mapping.
+// reinterpreted as a typed array directly from the mapping. The same
+// surface can also hold a private COPY of the bytes (read_private,
+// copy_private): an anonymous mapping, just as page-aligned, so one
+// parser serves shared and owned images alike.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +36,22 @@ class MappedFile {
   /// rejected (a valid snapshot always has a header).
   static MappedFile open_readonly(const std::string& path);
 
+  /// Reads `path` with read(2) into a private anonymous mapping that is
+  /// then made read-only. The bytes are owned (see owned()): later writes
+  /// to the file never reach them. Throws CheckError like open_readonly.
+  static MappedFile read_private(const std::string& path);
+
+  /// Copies `size` bytes into a private anonymous mapping (sources that
+  /// are not files, e.g. streams). A zero size yields an empty, invalid
+  /// MappedFile.
+  static MappedFile copy_private(const void* data, std::size_t size);
+
   [[nodiscard]] bool valid() const noexcept { return data_ != nullptr; }
   [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// True when the pages are a private copy (read_private, copy_private)
+  /// rather than the shared page cache of the file.
+  [[nodiscard]] bool owned() const noexcept { return owned_; }
 
   /// Releases the mapping early (idempotent; also run by the destructor).
   void reset() noexcept;
@@ -43,6 +59,7 @@ class MappedFile {
  private:
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
+  bool owned_ = false;
 };
 
 }  // namespace eimm

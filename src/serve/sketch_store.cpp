@@ -25,17 +25,12 @@ namespace eimm {
 namespace {
 
 constexpr std::string_view kSnapshotMagic = "EIMMSKS";
-constexpr std::uint32_t kSnapshotVersionV1 = 1;
 constexpr std::uint32_t kSnapshotVersionV2 = 2;
 constexpr std::uint32_t kSnapshotVersionV3 = 3;
 constexpr std::uint32_t kSnapshotVersionV4 = 4;
-constexpr std::uint32_t kAcceptedVersions[] = {kSnapshotVersionV1,
-                                               kSnapshotVersionV2,
-                                               kSnapshotVersionV3,
-                                               kSnapshotVersionV4};
 constexpr const char* kSnapshotWhat = "sketch-store snapshot";
 
-// --- v2/v3 on-disk layout ------------------------------------------------
+// --- On-disk layout ---------------------------------------------------------
 // magic(8) version(4) section_count(4) file_bytes(8), then section_count
 // table entries of {u32 id, u32 reserved, u64 offset, u64 bytes}, then
 // the sections themselves, each starting at a kSectionAlign-aligned file
@@ -51,7 +46,9 @@ constexpr const char* kSnapshotWhat = "sketch-store snapshot";
 //
 // v4 keeps both layouts (7 sections = raw, 8 = compressed) and stamps
 // the CRC32C of each section's payload into the table entry's reserved
-// u32, so loaders can prove every byte they are about to serve.
+// u32, so loaders can prove every byte they are about to serve. Only v4
+// is written; v2 and v3 differ from it in nothing but the version word
+// and the zeroed CRC slots, so the one parser reads all three.
 enum SectionId : std::uint32_t {
   kSecMeta = 1,              // bin-encoded scalars + strings
   kSecSketchOffsets = 2,     // u64[num_sketches + 1] (member counts CSR)
@@ -150,8 +147,7 @@ void check_section_table(const std::vector<SectionEntry>& table,
   }
 }
 
-/// Serializes the meta fields with the bin primitives (shared by v1 and
-/// the v2 meta section, which keeps the formats convertible).
+/// Serializes the meta section's fields with the bin primitives.
 void write_meta_fields(std::ostream& os, VertexId num_vertices,
                        std::uint64_t num_sketches, std::uint64_t k_max,
                        const SketchStoreMeta& meta) {
@@ -183,28 +179,8 @@ void read_meta_fields(std::istream& is, VertexId& num_vertices,
   meta.theta_capped = capped != 0;
 }
 
-/// Reads a raw (headerless) array section of exactly `bytes` bytes.
-template <typename T>
-std::vector<T> read_section_array(std::istream& is, std::uint64_t bytes,
-                                  const char* section, std::uint64_t offset) {
-  if (bytes % sizeof(T) != 0) {
-    fail_section("section length not a multiple of the element size in",
-                 section, offset);
-  }
-  std::vector<T> v;
-  try {
-    v.resize(bytes / sizeof(T));
-  } catch (const std::exception&) {
-    fail_section("implausible section length in", section, offset);
-  }
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(bytes));
-  if (!is.good()) fail_section("truncated", section, offset);
-  return v;
-}
-
-/// Types one mapped section. Alignment is guaranteed by the table check
-/// (kSectionAlign-aligned offsets) plus mmap's page-aligned base.
+/// Types one section of the image. Alignment is guaranteed by the table
+/// check (kSectionAlign-aligned offsets) plus mmap's page-aligned base.
 template <typename T>
 std::span<const T> map_section(const MappedFile& map, const SectionEntry& s) {
   const char* name = section_name(s.id);
@@ -218,8 +194,9 @@ std::span<const T> map_section(const MappedFile& map, const SectionEntry& s) {
 
 }  // namespace
 
-/// Deferred checksum work of a lazy v4 mmap load. The data pointers
-/// reference mapping_ pages, which never relocate when the store moves.
+/// Checksum work of a v4 load, run at load (eager) or on first demand
+/// (lazy). The data pointers reference mapping_ pages, which never
+/// relocate when the store moves.
 struct SketchStore::PendingChecksums {
   struct Section {
     const char* name;
@@ -353,8 +330,8 @@ void SketchStore::finalize() {
   // Inverted index by counting sort: degree histogram → prefix sum →
   // fill in sketch order, which leaves each vertex's covering list
   // sorted by sketch id. Derived deterministically from the sketch
-  // members at build time (and carried verbatim in v2 snapshots, so a
-  // v2 load skips this entirely — the O(index) cold start). Reads
+  // members at build time (and carried verbatim in snapshots, so a load
+  // skips this entirely — the O(index) cold start). Reads
   // through sketch(), so flat and zero-copy backings produce the
   // identical index.
   const VertexId n = num_vertices_;
@@ -390,17 +367,6 @@ void SketchStore::finalize() {
   default_marginals_ = default_marginals_own_;
 }
 
-void SketchStore::adopt_owned_views() {
-  sketch_offsets_ = sketch_offsets_own_;
-  sketch_vertices_ = sketch_vertices_own_;
-  node_offsets_ = node_offsets_own_;
-  node_sketches_ = node_sketches_own_;
-  default_seeds_ = default_seeds_own_;
-  default_marginals_ = default_marginals_own_;
-  comp_offsets_ = comp_offsets_own_;
-  comp_payload_ = comp_payload_own_;
-}
-
 std::vector<VertexId> SketchStore::assemble_payload() const {
   std::vector<VertexId> payload(sketch_offsets_.back());
 #pragma omp parallel for schedule(dynamic, 64)
@@ -424,21 +390,18 @@ void SketchStore::materialize_flat() {
   bitmap_expansion_ = {};
   compressed_ = false;
   backing_cpool_ = CompressedPool();
-  comp_offsets_own_ = {};
-  comp_payload_own_ = {};
   comp_offsets_ = {};
   comp_payload_ = {};
 }
 
 std::uint64_t SketchStore::memory_bytes() const noexcept {
-  return sketch_offsets_own_.capacity() * sizeof(std::uint64_t) +
+  return (mapping_.owned() ? mapping_.size() : 0) +
+         sketch_offsets_own_.capacity() * sizeof(std::uint64_t) +
          sketch_vertices_own_.capacity() * sizeof(VertexId) +
          entry_ptrs_.capacity() * sizeof(const VertexId*) +
          backing_segments_.memory_bytes() +
          bitmap_expansion_.capacity() * sizeof(VertexId) +
          backing_cpool_.memory_bytes() +
-         comp_offsets_own_.capacity() * sizeof(std::uint64_t) +
-         comp_payload_own_.capacity() +
          node_offsets_own_.capacity() * sizeof(std::uint64_t) +
          node_sketches_own_.capacity() * sizeof(SketchId) +
          default_seeds_own_.capacity() * sizeof(VertexId) +
@@ -446,10 +409,6 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
 }
 
 void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
-  const std::uint32_t version =
-      options.checksum ? kSnapshotVersionV4
-                       : (options.compress ? kSnapshotVersionV3
-                                           : kSnapshotVersionV2);
   const std::uint32_t section_count =
       options.compress ? kSectionCountV3 : kSectionCountV2;
 
@@ -458,11 +417,11 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   write_meta_fields(meta_os, num_vertices_, num_sketches_, k_max_, meta_);
   const std::string meta_blob = meta_os.str();
 
-  // The payload section. v2: the flat vertex image — this is where a
+  // The payload section. Raw: the flat vertex image — this is where a
   // deferred (or compressed) backing finally pays the flatten/decode.
-  // v3: the varint gap streams — a varint-compressed store's payload is
-  // written as-is; every other backing (flat, deferred, Huffman) is
-  // (trans)coded into a transient varint image here.
+  // Compressed: the varint gap streams — a varint-compressed store's
+  // payload is written as-is; every other backing (flat, deferred,
+  // Huffman) is (trans)coded into a transient varint image here.
   std::vector<VertexId> transient_flat;
   std::vector<std::uint64_t> transient_comp_offsets;
   std::vector<std::uint8_t> transient_comp_payload;
@@ -540,15 +499,12 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   }
   const std::uint64_t file_bytes = cursor;
 
-  bin::write_header(os, kSnapshotMagic, version);
+  bin::write_header(os, kSnapshotMagic, kSnapshotVersionV4);
   bin::write_pod(os, section_count);
   bin::write_pod(os, file_bytes);
   for (std::uint32_t i = 0; i < section_count; ++i) {
-    // v4 stamps the section's CRC32C into the slot v2/v3 reserved as 0.
-    const std::uint32_t crc =
-        options.checksum ? crc32c(blobs[i].data, blobs[i].bytes) : 0;
     bin::write_pod(os, blobs[i].id);
-    bin::write_pod(os, crc);
+    bin::write_pod(os, crc32c(blobs[i].data, blobs[i].bytes));
     bin::write_pod(os, offsets[i]);
     bin::write_pod(os, blobs[i].bytes);
   }
@@ -566,19 +522,6 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
                static_cast<std::streamsize>(blobs[i].bytes));
     }
     written = offsets[i] + blobs[i].bytes;
-  }
-}
-
-void SketchStore::save_legacy_v1(std::ostream& os) const {
-  bin::write_header(os, kSnapshotMagic, kSnapshotVersionV1);
-  write_meta_fields(os, num_vertices_, num_sketches_, k_max_, meta_);
-  // Primary data only, length-prefixed: v1 loaders recompute the
-  // derived index and default sequence.
-  bin::write_span(os, sketch_offsets_);
-  if (flat_) {
-    bin::write_span(os, sketch_vertices_);
-  } else {
-    bin::write_vec(os, assemble_payload());
   }
 }
 
@@ -725,7 +668,7 @@ void SketchStore::validate_payload() const {
 
 void SketchStore::validate_derived() const {
   // Recompute the inverted index exactly as finalize() would and compare
-  // against the carried arrays: a v2 snapshot whose derived state was
+  // against the carried arrays: a snapshot whose derived state was
   // tampered with (or bit-rotted) must not serve wrong covering lists.
   const VertexId n = num_vertices_;
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
@@ -764,189 +707,20 @@ void SketchStore::validate_derived() const {
              "snapshot default marginals disagree with the kernel");
 }
 
-SketchStore SketchStore::load_v1(std::istream& is) {
-  SketchStore store;
-  read_meta_fields(is, store.num_vertices_, store.num_sketches_,
-                   store.k_max_, store.meta_);
-  store.sketch_offsets_own_ =
-      bin::read_vec<std::uint64_t>(is, section_name(kSecSketchOffsets));
-  store.sketch_vertices_own_ =
-      bin::read_vec<VertexId>(is, section_name(kSecSketchVertices));
-  store.flat_ = true;
-  store.sketch_offsets_ = store.sketch_offsets_own_;
-  store.sketch_vertices_ = store.sketch_vertices_own_;
-
-  // v1 carries primary data only: validate it, then rebuild the derived
-  // state, so no cross-index inconsistency can survive a load.
-  EIMM_CHECK(store.num_vertices_ > 0, "snapshot holds a zero-vertex store");
-  EIMM_CHECK(store.k_max_ > 0, "snapshot holds a zero query cap");
-  EIMM_CHECK(store.k_max_ <= store.num_vertices_,
-             "snapshot query cap exceeds the vertex count");
-  EIMM_CHECK(store.num_sketches_ < std::numeric_limits<SketchId>::max(),
-             "snapshot sketch count overflows 32-bit sketch ids");
-  EIMM_CHECK(store.sketch_offsets_.size() == store.num_sketches_ + 1,
-             "snapshot sketch offsets inconsistent with sketch count");
-  EIMM_CHECK(store.sketch_offsets_.front() == 0 &&
-                 store.sketch_offsets_.back() ==
-                     store.sketch_vertices_.size(),
-             "snapshot sketch offsets do not span the vertex payload");
-  for (std::size_t i = 1; i < store.sketch_offsets_.size(); ++i) {
-    EIMM_CHECK(store.sketch_offsets_[i] >= store.sketch_offsets_[i - 1],
-               "snapshot sketch offsets decrease");
-  }
-  for (std::uint64_t s = 0; s < store.num_sketches_; ++s) {
-    for (std::uint64_t i = store.sketch_offsets_[s];
-         i < store.sketch_offsets_[s + 1]; ++i) {
-      EIMM_CHECK(store.sketch_vertices_[i] < store.num_vertices_,
-                 "snapshot sketch member out of range");
-      EIMM_CHECK(i == store.sketch_offsets_[s] ||
-                     store.sketch_vertices_[i - 1] < store.sketch_vertices_[i],
-                 "snapshot sketch members not strictly ascending");
-    }
-  }
-  try {
-    store.finalize();
-  } catch (const std::bad_alloc&) {
-    // A corrupt num_vertices field can pass the structural checks (no
-    // members need exist to exceed it) yet demand an absurd index
-    // allocation — keep the fail-loudly contract.
-    EIMM_CHECK(false, "snapshot vertex count implausibly large");
-  }
-  store.load_stats_.version = kSnapshotVersionV1;
-  store.load_stats_.bytes_copied =
-      store.sketch_offsets_.size_bytes() + store.sketch_vertices_.size_bytes();
-  return store;
-}
-
-SketchStore SketchStore::load_sections_stream(std::istream& is,
-                                              std::uint32_t version) {
-  // Magic + version were consumed by the caller; position is 12.
-  const bool checksummed = version == kSnapshotVersionV4;
-  std::uint32_t section_count = 0;
-  std::uint64_t file_bytes = 0;
-  bin::read_pod(is, section_count, "section table");
-  bin::read_pod(is, file_bytes, "section table");
-  const std::uint32_t expected_count =
-      checked_section_count(version, section_count);
-  const bool compressed = compressed_layout(version, expected_count);
-  if (const auto remaining = bin::detail::remaining_bytes(is)) {
-    // Seekable stream: the declared length must match reality, so a
-    // truncation anywhere (even inside inter-section padding) fails
-    // here instead of at the first short section read.
-    if (*remaining + 24 != file_bytes) {
-      fail_section("truncated file in", "section table", *remaining + 24);
-    }
-  }
-  std::vector<SectionEntry> table(expected_count);
-  for (SectionEntry& s : table) {
-    bin::read_pod(is, s.id, "section table");
-    bin::read_pod(is, s.crc, "section table");
-    bin::read_pod(is, s.offset, "section table");
-    bin::read_pod(is, s.bytes, "section table");
-  }
-  check_section_table(table, file_bytes, expected_count);
-
-  SketchStore store;
-  std::uint64_t pos = header_bytes(expected_count);
-  for (const SectionEntry& s : table) {
-    const char* name = section_name(s.id);
-    // Inline integrity: the section bytes are in hand, so a v4 stream
-    // load proves each section before the next read.
-    const auto verify = [&](const void* data) {
-      if (!checksummed) return;
-      if (crc32c(data, s.bytes) != s.crc) {
-        fail_section("checksum mismatch in", name, s.offset);
-      }
-    };
-    is.ignore(static_cast<std::streamsize>(s.offset - pos));
-    if (!is.good()) fail_section("truncated padding before", name, pos);
-    switch (s.id) {
-      case kSecMeta: {
-        std::string blob(s.bytes, '\0');
-        is.read(blob.data(), static_cast<std::streamsize>(s.bytes));
-        if (!is.good()) fail_section("truncated", name, s.offset);
-        verify(blob.data());
-        std::istringstream meta_is(blob);
-        read_meta_fields(meta_is, store.num_vertices_, store.num_sketches_,
-                         store.k_max_, store.meta_);
-        break;
-      }
-      case kSecSketchOffsets:
-        store.sketch_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.sketch_offsets_own_.data());
-        break;
-      case kSecSketchVertices:
-        if (compressed) {
-          store.comp_payload_own_ =
-              read_section_array<std::uint8_t>(is, s.bytes, name, s.offset);
-          verify(store.comp_payload_own_.data());
-        } else {
-          store.sketch_vertices_own_ =
-              read_section_array<VertexId>(is, s.bytes, name, s.offset);
-          verify(store.sketch_vertices_own_.data());
-        }
-        break;
-      case kSecNodeOffsets:
-        store.node_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.node_offsets_own_.data());
-        break;
-      case kSecNodeSketches:
-        store.node_sketches_own_ =
-            read_section_array<SketchId>(is, s.bytes, name, s.offset);
-        verify(store.node_sketches_own_.data());
-        break;
-      case kSecDefaultSeeds:
-        store.default_seeds_own_ =
-            read_section_array<VertexId>(is, s.bytes, name, s.offset);
-        verify(store.default_seeds_own_.data());
-        break;
-      case kSecDefaultMarginals:
-        store.default_marginals_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.default_marginals_own_.data());
-        break;
-      case kSecCompOffsets:
-        store.comp_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.comp_offsets_own_.data());
-        break;
-      default: fail_section("unexpected", name, s.offset);
-    }
-    pos = s.offset + s.bytes;
-  }
-  store.flat_ = !compressed;
-  store.compressed_ = compressed;
-  store.adopt_owned_views();
-  store.load_stats_.version = version;
-  store.load_stats_.file_bytes = file_bytes;
-  for (const SectionEntry& s : table) {
-    store.load_stats_.bytes_copied += s.bytes;
-  }
-  store.load_stats_.compressed = compressed;
-  store.load_stats_.compressed_payload_bytes =
-      compressed ? store.comp_payload_.size() : 0;
-  store.load_stats_.checksummed = checksummed;
-  store.load_stats_.checksums_verified = checksummed;
-  store.validate_structure();
-  store.validate_payload();
-  return store;
-}
-
-SketchStore SketchStore::load_mapped(MappedFile mapping,
-                                     const std::string& path,
-                                     ChecksumMode checksums) {
-  const std::uint8_t* base = mapping.data();
-  const std::uint64_t size = mapping.size();
-  if (size < header_bytes(kSectionCountV2)) {
-    fail_section("truncated header in", "section table", size);
-  }
+SketchStore SketchStore::load_image(MappedFile image,
+                                    const std::string& source,
+                                    SnapshotLoadOptions options) {
+  // Header and section table first, all from the first bytes of the
+  // image: every truncation and table inconsistency is reported before
+  // any section byte is read.
+  const std::uint8_t* base = image.data();
+  const std::uint64_t size = image.size();
+  if (size < 24) fail_section("truncated header in", "header", size);
   char expected[8] = {};
   std::memcpy(expected, kSnapshotMagic.data(), kSnapshotMagic.size());
   if (std::memcmp(base, expected, sizeof expected) != 0) {
     throw bin::FormatError(std::string("not a recognized ") + kSnapshotWhat +
-                               " ('" + path + "')",
+                               " ('" + source + "')",
                            "header", 0);
   }
   std::uint32_t version = 0;
@@ -957,7 +731,10 @@ SketchStore SketchStore::load_mapped(MappedFile mapping,
   std::memcpy(&file_bytes, base + 16, sizeof file_bytes);
   if (version != kSnapshotVersionV2 && version != kSnapshotVersionV3 &&
       version != kSnapshotVersionV4) {
-    fail_section("unmappable snapshot version in", "header", 8);
+    throw bin::FormatError("unsupported version " + std::to_string(version) +
+                               " of " + kSnapshotWhat + " ('" + source +
+                               "'); versions 2, 3 and 4 are read",
+                           "header", 8);
   }
   const std::uint32_t expected_count =
       checked_section_count(version, section_count);
@@ -969,7 +746,9 @@ SketchStore SketchStore::load_mapped(MappedFile mapping,
   if (file_bytes != size) {
     // The declared length is the truncation guard: a file cut anywhere
     // (payload, padding, table) disagrees with its own header.
-    fail_section("truncated file in", "section table", size);
+    fail_section(size < file_bytes ? "truncated file in"
+                                   : "bytes past the declared end of",
+                 "section table", std::min(size, file_bytes));
   }
   std::vector<SectionEntry> table(expected_count);
   for (std::uint32_t i = 0; i < expected_count; ++i) {
@@ -995,51 +774,65 @@ SketchStore SketchStore::load_mapped(MappedFile mapping,
     }
   }
   store.sketch_offsets_ =
-      map_section<std::uint64_t>(mapping, table[kSecSketchOffsets - 1]);
+      map_section<std::uint64_t>(image, table[kSecSketchOffsets - 1]);
   if (compressed) {
     store.comp_payload_ =
-        map_section<std::uint8_t>(mapping, table[kSecSketchVertices - 1]);
+        map_section<std::uint8_t>(image, table[kSecSketchVertices - 1]);
     store.comp_offsets_ =
-        map_section<std::uint64_t>(mapping, table[kSecCompOffsets - 1]);
+        map_section<std::uint64_t>(image, table[kSecCompOffsets - 1]);
   } else {
     store.sketch_vertices_ =
-        map_section<VertexId>(mapping, table[kSecSketchVertices - 1]);
+        map_section<VertexId>(image, table[kSecSketchVertices - 1]);
   }
   store.node_offsets_ =
-      map_section<std::uint64_t>(mapping, table[kSecNodeOffsets - 1]);
+      map_section<std::uint64_t>(image, table[kSecNodeOffsets - 1]);
   store.node_sketches_ =
-      map_section<SketchId>(mapping, table[kSecNodeSketches - 1]);
+      map_section<SketchId>(image, table[kSecNodeSketches - 1]);
   store.default_seeds_ =
-      map_section<VertexId>(mapping, table[kSecDefaultSeeds - 1]);
+      map_section<VertexId>(image, table[kSecDefaultSeeds - 1]);
   store.default_marginals_ =
-      map_section<std::uint64_t>(mapping, table[kSecDefaultMarginals - 1]);
+      map_section<std::uint64_t>(image, table[kSecDefaultMarginals - 1]);
   store.flat_ = !compressed;
   store.compressed_ = compressed;
-  store.mapping_ = std::move(mapping);
-  store.load_stats_.version = version;
-  store.load_stats_.mmap_backed = true;
-  store.load_stats_.file_bytes = file_bytes;
-  store.load_stats_.bytes_mapped = size;
-  store.load_stats_.bytes_copied = 0;
-  store.load_stats_.compressed = compressed;
-  store.load_stats_.compressed_payload_bytes =
-      compressed ? store.comp_payload_.size() : 0;
-  store.load_stats_.checksummed = checksummed;
-  if (checksummed && checksums != ChecksumMode::kOff) {
+  // An owned buffer holds bytes already paid for, so it is proven at
+  // load: checksums eagerly, the payload by a full scan.
+  const bool owned = image.owned();
+  if (owned) options.checksums = ChecksumMode::kEager;
+  store.mapping_ = std::move(image);
+  SnapshotLoadStats& stats = store.load_stats_;
+  stats.version = version;
+  stats.mmap_backed = !owned;
+  stats.file_bytes = file_bytes;
+  stats.bytes_mapped = owned ? 0 : size;
+  stats.bytes_copied = owned ? size : 0;
+  stats.compressed = compressed;
+  stats.compressed_payload_bytes = compressed ? store.comp_payload_.size() : 0;
+  stats.checksummed = checksummed;
+  if (checksummed && options.checksums != ChecksumMode::kOff) {
     auto pending = std::make_shared<PendingChecksums>();
     pending->sections.reserve(table.size());
-    const std::uint8_t* mapped = store.mapping_.data();
     for (const SectionEntry& s : table) {
       pending->sections.push_back({section_name(s.id), s.offset, s.bytes,
-                                   s.crc, mapped + s.offset});
+                                   s.crc, base + s.offset});
     }
     store.pending_checksums_ = std::move(pending);
-    if (checksums == ChecksumMode::kEager) {
+    if (options.checksums == ChecksumMode::kEager) {
       store.verify_checksums();
-      store.load_stats_.checksums_verified = true;
+      stats.checksums_verified = true;
     }
   }
   store.validate_structure();
+  if (options.deep_validate) {
+    // Checksums first: a deep scan over provably intact bytes separates
+    // "bit rot" from "writer bug" in the diagnostic.
+    store.verify_checksums();
+    if (store.pending_checksums_ != nullptr) stats.checksums_verified = true;
+  }
+  if (owned || options.deep_validate) store.validate_payload();
+  if (options.deep_validate) {
+    store.validate_derived();
+    stats.deep_validated = true;
+  }
   return store;
 }
 
@@ -1065,47 +858,19 @@ bool SketchStore::checksums_pending() const noexcept {
 }
 
 SketchStore SketchStore::load(std::istream& is) {
-  const std::uint32_t version =
-      bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
-                           kSnapshotWhat);
-  return version == kSnapshotVersionV1 ? load_v1(is)
-                                       : load_sections_stream(is, version);
+  std::ostringstream bytes(std::ios::binary);
+  bytes << is.rdbuf();
+  const std::string image = std::move(bytes).str();
+  return load_image(MappedFile::copy_private(image.data(), image.size()),
+                    "stream", {SnapshotLoadMode::kStream});
 }
 
 SketchStore SketchStore::load_file(const std::string& path,
                                    SnapshotLoadOptions options) {
-  std::ifstream is(path, std::ios::binary);
-  EIMM_CHECK(is.good(), "cannot open snapshot file");
-  const std::uint32_t version =
-      bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
-                           kSnapshotWhat);
-  if (options.mode == SnapshotLoadMode::kMap) {
-    EIMM_CHECK(version != kSnapshotVersionV1,
-               "legacy v1 snapshots cannot be mmap-served; re-save as v2");
-  }
-  SketchStore store;
-  if (version != kSnapshotVersionV1 &&
-      options.mode != SnapshotLoadMode::kStream) {
-    is.close();
-    store = load_mapped(MappedFile::open_readonly(path), path,
-                        options.checksums);
-  } else if (version == kSnapshotVersionV1) {
-    store = load_v1(is);
-  } else {
-    store = load_sections_stream(is, version);
-  }
-  if (options.deep_validate) {
-    // Checksums first: a deep scan over provably intact bytes separates
-    // "bit rot" from "writer bug" in the diagnostic.
-    store.verify_checksums();
-    if (store.pending_checksums_ != nullptr) {
-      store.load_stats_.checksums_verified = true;
-    }
-    store.validate_payload();
-    store.validate_derived();
-    store.load_stats_.deep_validated = true;
-  }
-  return store;
+  MappedFile image = options.mode == SnapshotLoadMode::kMap
+                         ? MappedFile::open_readonly(path)
+                         : MappedFile::read_private(path);
+  return load_image(std::move(image), path, options);
 }
 
 }  // namespace eimm

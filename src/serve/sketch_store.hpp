@@ -22,40 +22,35 @@
 // explicit materialize_flat()), so build-and-query-only workloads never
 // pay the copy.
 //
-// Snapshots (magic "EIMMSKS") come in three revisions:
-//   v1 — legacy length-prefixed stream of primary data only; load()
-//        copies into fresh vectors and recomputes the derived state.
-//        Still read (version negotiation), no longer written.
-//   v2 — page-aligned section-table format: a header + section table
-//        (id, offset, length; every section offset 4096-aligned)
-//        followed by the raw arrays, INCLUDING the derived inverted
-//        index and default greedy sequence. load_file() mmaps the file
-//        read-only and serves every array straight from the mapping —
-//        zero pool copies, cold start O(section table + offsets scan)
-//        instead of O(pool) — so N serving processes share one
-//        page-cache copy of the sketch data. Stream loads of v2 copy
-//        the sections into owned vectors (pipes, tests).
+// Snapshots (magic "EIMMSKS") share one page-aligned section-table
+// layout: a header + section table (id, CRC slot, offset, length; every
+// section offset 4096-aligned) followed by the raw arrays, INCLUDING the
+// derived inverted index and default greedy sequence. Three revisions
+// of it are read:
+//   v2 — the raw layout: seven sections, the sketch payload as flat
+//        vertex ids.
 //   v3 — v2's layout with a COMPRESSED sketch payload: the sketch-
 //        vertices section holds the delta-varint gap streams of all
 //        sketches back to back (rrr/gap_codec.hpp — always plain
 //        varints on disk; a Huffman-backed store transcodes at save),
 //        and an eighth section carries the per-sketch byte offsets.
-//        Snapshot size AND serving RSS drop together: loads — mmap'ed
-//        or streamed — keep the payload compressed and serve queries
-//        decode-on-enumerate. Written only on request
-//        (SnapshotSaveOptions::compress); every v2 consumer keeps
-//        working unchanged.
+//        Loads keep the payload compressed and serve queries decode-on-
+//        enumerate, so snapshot size AND serving RSS drop together.
 //   v4 — the v2/v3 layout with INTEGRITY CHECKSUMS: each section-table
-//        entry's reserved u32 now carries the CRC32C of that section's
-//        payload bytes (7 sections = raw, 8 = compressed; the table is
-//        otherwise bit-identical). The default save format. Stream
-//        loads verify every section inline as it is read; mmap loads
-//        verify lazily by default (at first QueryEngine construction,
-//        preserving the O(table) cold start) or eagerly/never per
-//        SnapshotLoadOptions::checksums. A mismatch surfaces as typed
-//        bin::FormatError with section+offset — a flipped bit is never
-//        served. v2/v3 stay writable (SnapshotSaveOptions::checksum =
-//        false) and loadable.
+//        entry's CRC slot (zero in v2/v3) carries the CRC32C of that
+//        section's payload bytes (7 sections = raw, 8 = compressed; the
+//        table is otherwise bit-identical). The only format written.
+// One parser reads every revision from one of two byte sources. An mmap
+// load (the default) maps the file read-only and serves every array
+// straight from the mapping — zero pool copies, cold start O(section
+// table) — so N serving processes share one page-cache copy of the
+// sketch data; it verifies v4 checksums lazily by default (at first
+// QueryEngine construction) or eagerly/never per
+// SnapshotLoadOptions::checksums. A stream load reads the file (or an
+// istream) into an owned page-aligned buffer and runs the same parser
+// over it, verifying checksums and the payload up front. A mismatch
+// surfaces as typed bin::FormatError with section+offset — a flipped
+// bit is never served. The v1 stream format is no longer read.
 //
 // Everything is read-only after build/load — queries allocate their own
 // scratch (see QueryEngine) — so any number of threads can serve from one
@@ -95,15 +90,14 @@ struct SketchStoreMeta {
                          const SketchStoreMeta&) = default;
 };
 
-/// How load_file() should back the store.
+/// Where load_file() takes the snapshot bytes from; both run one parser.
 enum class SnapshotLoadMode {
-  kAuto,    ///< mmap v2 snapshots, stream-read v1 (the serving default)
-  kMap,     ///< require the mmap path (v1 files are rejected)
-  kStream,  ///< force the copying stream loader even for v2
+  kMap,     ///< serve straight from a read-only mapping (the default)
+  kStream,  ///< read the file into an owned buffer (verified up front)
 };
 
 /// When an mmap load of a v4 snapshot verifies the per-section CRC32C
-/// checksums (stream loads always verify inline — the bytes are in hand).
+/// checksums (stream loads always verify eagerly — the bytes are in hand).
 enum class ChecksumMode {
   kLazy,   ///< defer to verify_checksums() — first QueryEngine ctor —
            ///< keeping the O(table) mmap cold start
@@ -112,13 +106,13 @@ enum class ChecksumMode {
 };
 
 struct SnapshotLoadOptions {
-  SnapshotLoadMode mode = SnapshotLoadMode::kAuto;
+  SnapshotLoadMode mode = SnapshotLoadMode::kMap;
   /// Adds the O(pool) scans the mmap path skips by default: per-member
   /// range/ordering checks plus recompute-and-compare of the derived
   /// inverted index and default greedy sequence. Stream loads always
-  /// validate the primary payload (v1 semantics); deep validation adds
-  /// the derived-state cross-check there too (and forces checksum
-  /// verification first on v4 files).
+  /// validate the primary payload; deep validation adds the derived-
+  /// state cross-check there too (and forces checksum verification
+  /// first on v4 files).
   bool deep_validate = false;
   /// v4 checksum handling on the mmap path.
   ChecksumMode checksums = ChecksumMode::kLazy;
@@ -131,13 +125,14 @@ struct SnapshotLoadStats {
   std::uint64_t file_bytes = 0;
   /// Bytes mapped read-only (the whole file on the mmap path, else 0).
   std::uint64_t bytes_mapped = 0;
-  /// Section bytes copied into freshly allocated vectors — 0 on the
-  /// mmap path (nothing but the meta strings is duplicated).
+  /// Bytes copied into the owned buffer (the whole file on the stream
+  /// path) — 0 on the mmap path (nothing but the meta strings is
+  /// duplicated).
   std::uint64_t bytes_copied = 0;
   bool deep_validated = false;
   /// v3 accounting: the payload stayed gap-coded through the load.
   bool compressed = false;
-  /// Bytes of the compressed sketch payload (0 for v1/v2).
+  /// Bytes of the compressed sketch payload (0 for a raw payload).
   std::uint64_t compressed_payload_bytes = 0;
   /// The snapshot carries per-section CRC32C checksums (v4).
   bool checksummed = false;
@@ -152,10 +147,6 @@ struct SnapshotSaveOptions {
   /// compressed store's varint payload is written as-is, a Huffman-
   /// backed one transcodes, a raw one encodes at save time.
   bool compress = false;
-  /// Stamp per-section CRC32C checksums into the section table (the v4
-  /// format — the default). false reproduces the legacy v2/v3 bytes
-  /// exactly.
-  bool checksum = true;
 };
 
 class SketchStore {
@@ -271,18 +262,19 @@ class SketchStore {
     return default_marginals_;
   }
 
-  /// Owned heap footprint (mmap-served arrays are NOT counted — they are
-  /// shared page cache; see mapped_bytes()).
+  /// Owned footprint, including a stream load's snapshot buffer
+  /// (mmap-served arrays are NOT counted — they are shared page cache;
+  /// see mapped_bytes()).
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
   /// Bytes served from the read-only snapshot mapping (0 unless
   /// mmap-loaded).
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept {
-    return mapping_.size();
+    return mapping_.owned() ? 0 : mapping_.size();
   }
 
   // --- Snapshots (eimm::bin format, magic "EIMMSKS") ---
-  /// Writes the page-aligned section-table format: v2 by default, v3
-  /// (compressed payload) when options.compress is set.
+  /// Writes the v4 section-table format: seven sections, or eight with
+  /// the compressed payload when options.compress is set.
   void save(std::ostream& os, SnapshotSaveOptions options = {}) const;
   /// save() into `<path>.tmp.<pid>.<n>` (created with O_EXCL; `n` is a
   /// process-wide call counter, so concurrent saves to one path never
@@ -292,12 +284,11 @@ class SketchStore {
   /// not durable against a power cut.
   void save_file(const std::string& path,
                  SnapshotSaveOptions options = {}) const;
-  /// Compatibility writer for the legacy v1 stream format (exercises the
-  /// version-negotiation path; real snapshots should use save()).
-  void save_legacy_v1(std::ostream& os) const;
-  /// Stream loader: handles v1 and v2 (v2 sections are copied). Always
-  /// validates the primary payload.
+  /// Reads the whole stream into an owned buffer and parses it like a
+  /// kStream load_file().
   static SketchStore load(std::istream& is);
+  /// Loads `path` per options.mode: mapped read-only (kMap) or read into
+  /// an owned buffer (kStream); both run the same parser and checks.
   static SketchStore load_file(const std::string& path,
                                SnapshotLoadOptions options = {});
 
@@ -325,9 +316,9 @@ class SketchStore {
   SketchStore() = default;
 
   /// Derives the inverted index and the default greedy sequence from the
-  /// sketch members (build paths and v1 loads — v2 snapshots carry the
-  /// derived arrays). Reads through sketch(), so it works over flat and
-  /// deferred backings alike.
+  /// sketch members (build paths — snapshots carry the derived arrays).
+  /// Reads through sketch(), so it works over flat and deferred backings
+  /// alike.
   void finalize();
 
   /// Assembles the contiguous payload from sketch() spans (the deferred
@@ -347,16 +338,12 @@ class SketchStore {
   /// (deep_validate only).
   void validate_derived() const;
 
-  static SketchStore load_v1(std::istream& is);
-  /// Shared v2/v3/v4 section-table stream loader (v3/v4-compressed add
-  /// the compressed payload + byte-offset sections; v4 verifies the
-  /// section checksums inline).
-  static SketchStore load_sections_stream(std::istream& is,
-                                          std::uint32_t version);
-  static SketchStore load_mapped(MappedFile mapping, const std::string& path,
-                                 ChecksumMode checksums);
-  /// Wires the read-surface spans at the owned vectors.
-  void adopt_owned_views();
+  /// The snapshot parser: checks the header and section table, serves
+  /// every array from `image` (a shared mapping or an owned buffer),
+  /// then verifies and validates per `options`. An owned image is always
+  /// verified and payload-validated at load.
+  static SketchStore load_image(MappedFile image, const std::string& source,
+                                SnapshotLoadOptions options);
 
   /// Slot view of a compressed sketch (compressed_ only): through the
   /// adopted CompressedPool when one backs the store (build path — may
@@ -377,8 +364,8 @@ class SketchStore {
   SketchStoreMeta meta_;
   SnapshotLoadStats load_stats_;
 
-  // Owned storage; a vector stays empty when the snapshot mapping backs
-  // the corresponding view instead.
+  // Owned storage of built stores; the vectors stay empty on loaded
+  // stores, whose views point into mapping_.
   std::vector<std::uint64_t> sketch_offsets_own_;
   std::vector<VertexId> sketch_vertices_own_;
   std::vector<std::uint64_t> node_offsets_own_;
@@ -405,23 +392,22 @@ class SketchStore {
 
   /// Compressed backing (used iff compressed_). Build path: the adopted
   /// CompressedPool (varint or Huffman). Snapshot path: varint payload
-  /// + byte offsets, owned or served from the mapping; comp_offsets_/
-  /// comp_payload_ always point at whichever storage is live.
+  /// + byte offsets served from mapping_; comp_offsets_/comp_payload_
+  /// always point at whichever storage is live.
   bool compressed_ = false;
   CompressedPool backing_cpool_;
-  std::vector<std::uint64_t> comp_offsets_own_;
-  std::vector<std::uint8_t> comp_payload_own_;
   std::span<const std::uint64_t> comp_offsets_;  // num_sketches_ + 1
   std::span<const std::uint8_t> comp_payload_;
 
-  /// Deferred v4 checksum state of a lazy mmap load: the section list
-  /// with expected CRCs, verified once on first demand. Held through a
-  /// shared_ptr so the store stays movable (the sections point into
-  /// mapping_, whose pages never relocate on move).
+  /// v4 checksum state of a load: the section list with expected CRCs,
+  /// verified once — at load (eager, stream) or on first demand (lazy).
+  /// Held through a shared_ptr so the store stays movable (the sections
+  /// point into mapping_, whose pages never relocate on move).
   struct PendingChecksums;
   std::shared_ptr<PendingChecksums> pending_checksums_;
 
-  /// Keeps the snapshot pages alive for mmap-backed stores.
+  /// Keeps the snapshot pages alive for loaded stores: the shared file
+  /// mapping, or a stream load's owned buffer.
   MappedFile mapping_;
 };
 

@@ -1,4 +1,4 @@
-// v2 snapshot coverage: the mmap load path must be zero-copy and
+// Snapshot load coverage: the mmap load path must be zero-copy and
 // bit-faithful, the section table must reject every structural
 // corruption with a FormatError naming the section, and N read-only
 // loads of one file must not interfere (the N-serving-processes
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,19 +24,23 @@
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_bytes.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
 
-// v2 header layout (all little-endian): magic[8], u32 version, u32
-// section_count, u64 file_bytes, then section_count entries of
-// {u32 id, u32 reserved, u64 offset, u64 bytes}.
-constexpr std::size_t kVersionAt = 8;
-constexpr std::size_t kFileBytesAt = 16;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using testing::entry_at;
+using testing::kEntryBytes;
+using testing::kFileBytesAt;
+using testing::kTableAt;
+using testing::kVersionAt;
+using testing::load_at;
+using testing::read_file;
+using testing::snapshot_bytes;
+using testing::store_at;
+using testing::write_file;
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -50,18 +55,6 @@ std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
 /// Whether any `<path>.tmp.*` file sits beside `path`.
 bool temp_files_left(const std::string& path) {
   const std::filesystem::path target(path);
@@ -71,18 +64,6 @@ bool temp_files_left(const std::string& path) {
     if (entry.path().filename().string().rfind(prefix, 0) == 0) return true;
   }
   return false;
-}
-
-template <typename T>
-T load_at(const std::string& data, std::size_t at) {
-  T v{};
-  std::memcpy(&v, data.data() + at, sizeof v);
-  return v;
-}
-
-template <typename T>
-void store_at(std::string& data, std::size_t at, T v) {
-  std::memcpy(data.data() + at, &v, sizeof v);
 }
 
 TEST(MmapSnapshot, MapLoadIsZeroCopyAndBitIdentical) {
@@ -125,6 +106,10 @@ TEST(MmapSnapshot, StreamAndMapLoadsServeIdenticalResults) {
 
   EXPECT_FALSE(streamed.load_stats().mmap_backed);
   EXPECT_GT(streamed.load_stats().bytes_copied, 0u);
+  // The stream load's buffer is owned memory, not a shared mapping.
+  EXPECT_EQ(streamed.mapped_bytes(), 0u);
+  EXPECT_GE(streamed.memory_bytes(), streamed.load_stats().file_bytes);
+  EXPECT_TRUE(streamed.load_stats().checksums_verified);
   EXPECT_TRUE(streamed == mapped);
 
   const QueryEngine a(streamed);
@@ -136,38 +121,40 @@ TEST(MmapSnapshot, StreamAndMapLoadsServeIdenticalResults) {
   EXPECT_EQ(a.select(constrained).seeds, b.select(constrained).seeds);
 }
 
-TEST(MmapSnapshot, AutoModePrefersMapForV2Files) {
+TEST(MmapSnapshot, DefaultModeMapsTheFile) {
   const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_mmap_auto.sks");
+  const std::string path = snapshot_path("eimm_mmap_default.sks");
   store.save_file(path);
   const SketchStore loaded = SketchStore::load_file(path);
   EXPECT_TRUE(loaded.load_stats().mmap_backed);
   EXPECT_EQ(loaded.load_stats().bytes_copied, 0u);
 }
 
-TEST(MmapSnapshot, LegacyV1RoundTripsButCannotBeMapped) {
+TEST(MmapSnapshot, V1HeaderIsRejectedInBothModes) {
+  // v1 is no longer read: its header must fail with a typed error that
+  // names the version, whichever way the bytes arrive.
   const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_mmap_legacy.sks");
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    store.save_legacy_v1(os);
-  }
+  const std::string path = snapshot_path("eimm_mmap_v1.sks");
+  std::string data = snapshot_bytes(store);
+  store_at(data, kVersionAt, std::uint32_t{1});
+  write_file(path, data);
 
-  // kAuto falls back to the stream loader for v1.
-  const SketchStore loaded = SketchStore::load_file(path);
-  EXPECT_EQ(loaded.load_stats().version, 1u);
-  EXPECT_FALSE(loaded.load_stats().mmap_backed);
-  EXPECT_TRUE(store == loaded);
-
-  // An explicit kMap request must fail loudly, not silently copy.
-  SnapshotLoadOptions map_options;
-  map_options.mode = SnapshotLoadMode::kMap;
-  try {
-    SketchStore::load_file(path, map_options);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos);
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
+    SnapshotLoadOptions options;
+    options.mode = mode;
+    try {
+      SketchStore::load_file(path, options);
+      FAIL() << "v1 header accepted in mode " << static_cast<int>(mode);
+    } catch (const bin::FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.section(), "header");
+      EXPECT_EQ(e.offset(), std::optional<std::uint64_t>{kVersionAt});
+    }
   }
+  std::istringstream is(data);
+  EXPECT_THROW(SketchStore::load(is), bin::FormatError);
 }
 
 TEST(MmapSnapshot, SectionTableCorruptionsThrow) {
@@ -219,8 +206,18 @@ TEST(MmapSnapshot, SectionTableCorruptionsThrow) {
            load_at<std::uint64_t>(good, kFileBytesAt) - 1);
   expect_rejected(shrunk, "file_bytes mismatch");
 
-  // Trailing bytes after the last section.
+  // Trailing bytes after the last section, reported where they begin
+  // rather than as a truncation.
   expect_rejected(good + std::string(1, '\0'), "trailing bytes");
+  try {
+    SketchStore::load_file(path);
+    FAIL() << "trailing bytes accepted";
+  } catch (const bin::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("past the declared end"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), std::optional<std::uint64_t>{good.size()});
+  }
 
   // Truncation inside the section table itself.
   expect_rejected(good.substr(0, kTableAt + kEntryBytes / 2),

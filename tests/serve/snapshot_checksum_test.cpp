@@ -1,5 +1,5 @@
 // v4 snapshot checksums: save stamps per-section CRC32C values into the
-// section table, stream loads verify inline, mmap loads verify lazily
+// section table, stream loads verify at load, mmap loads verify lazily
 // (first QueryEngine) or eagerly per SnapshotLoadOptions::checksums, and
 // every corruption surfaces as a typed bin::FormatError naming the
 // section — never a wrong answer or UB.
@@ -15,6 +15,7 @@
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_bytes.hpp"
 #include "support/crc32c.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
@@ -22,14 +23,14 @@
 namespace eimm {
 namespace {
 
-// Header layout (little-endian): magic[8], u32 version, u32
-// section_count, u64 file_bytes, then section_count entries of
-// {u32 id, u32 crc, u64 offset, u64 bytes}. Pre-v4 the crc slot is the
-// zeroed reserved word.
-constexpr std::size_t kVersionAt = 8;
-constexpr std::size_t kSectionCountAt = 12;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using testing::entry_at;
+using testing::kSectionCountAt;
+using testing::kVersionAt;
+using testing::load_at;
+using testing::read_file;
+using testing::snapshot_bytes;
+using testing::to_legacy;
+using testing::write_file;
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -44,30 +45,6 @@ std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-template <typename T>
-T load_at(const std::string& data, std::size_t at) {
-  T v{};
-  std::memcpy(&v, data.data() + at, sizeof v);
-  return v;
-}
-
-template <typename T>
-void store_at(std::string& data, std::size_t at, T v) {
-  std::memcpy(data.data() + at, &v, sizeof v);
-}
-
 TEST(SnapshotChecksum, DefaultSaveIsV4WithValidSectionCrcs) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_ck_v4.sks");
@@ -78,7 +55,7 @@ TEST(SnapshotChecksum, DefaultSaveIsV4WithValidSectionCrcs) {
   const auto sections = load_at<std::uint32_t>(data, kSectionCountAt);
   EXPECT_GE(sections, 7u);
   for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::size_t entry = kTableAt + s * kEntryBytes;
+    const std::size_t entry = entry_at(s);
     const auto stamped = load_at<std::uint32_t>(data, entry + 4);
     const auto offset = load_at<std::uint64_t>(data, entry + 8);
     const auto bytes = load_at<std::uint64_t>(data, entry + 16);
@@ -86,30 +63,26 @@ TEST(SnapshotChecksum, DefaultSaveIsV4WithValidSectionCrcs) {
   }
 }
 
-TEST(SnapshotChecksum, ChecksumOffReproducesLegacyBytes) {
+TEST(SnapshotChecksum, LegacyImagesResaveAsTheV4Image) {
+  // A v2/v3 image is the v4 image with its version word set and its CRC
+  // slots zeroed. It parses to the same store, and that store re-saves
+  // to the v4 bytes exactly.
   const SketchStore store = make_store();
-  const std::string v4_path = snapshot_path("eimm_ck_on.sks");
-  const std::string legacy_path = snapshot_path("eimm_ck_off.sks");
-  store.save_file(v4_path);
-  SnapshotSaveOptions no_checksum;
-  no_checksum.checksum = false;
-  store.save_file(legacy_path, no_checksum);
+  for (const bool compress : {false, true}) {
+    SnapshotSaveOptions save;
+    save.compress = compress;
+    const std::string v4 = snapshot_bytes(store, save);
+    const std::string legacy = to_legacy(v4);
+    const std::uint32_t version = compress ? 3u : 2u;
+    EXPECT_EQ(load_at<std::uint32_t>(legacy, kVersionAt), version);
 
-  const std::string v4 = read_file(v4_path);
-  std::string legacy = read_file(legacy_path);
-  EXPECT_EQ(load_at<std::uint32_t>(legacy, kVersionAt), 2u);
-
-  // The two files differ only in the version word and the crc slots:
-  // rewriting those in the legacy bytes must reproduce the v4 bytes.
-  ASSERT_EQ(legacy.size(), v4.size());
-  store_at(legacy, kVersionAt, std::uint32_t{4});
-  const auto sections = load_at<std::uint32_t>(v4, kSectionCountAt);
-  for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::size_t crc_at = kTableAt + s * kEntryBytes + 4;
-    EXPECT_EQ(load_at<std::uint32_t>(legacy, crc_at), 0u) << "section " << s;
-    store_at(legacy, crc_at, load_at<std::uint32_t>(v4, crc_at));
+    std::istringstream is(legacy);
+    const SketchStore loaded = SketchStore::load(is);
+    EXPECT_EQ(loaded.load_stats().version, version);
+    EXPECT_FALSE(loaded.load_stats().checksummed);
+    EXPECT_TRUE(store == loaded);
+    EXPECT_EQ(snapshot_bytes(loaded, save), v4) << "v" << version;
   }
-  EXPECT_EQ(legacy, v4);
 }
 
 TEST(SnapshotChecksum, StreamLoadVerifiesInline) {
@@ -131,7 +104,7 @@ TEST(SnapshotChecksum, LazyMapLoadDefersToQueryEngine) {
   const std::string path = snapshot_path("eimm_ck_lazy.sks");
   store.save_file(path);
 
-  const SketchStore mapped = SketchStore::load_file(path);  // kAuto + kLazy
+  const SketchStore mapped = SketchStore::load_file(path);  // kMap + kLazy
   EXPECT_TRUE(mapped.load_stats().mmap_backed);
   EXPECT_TRUE(mapped.load_stats().checksummed);
   EXPECT_FALSE(mapped.load_stats().checksums_verified);
@@ -167,9 +140,9 @@ TEST(SnapshotChecksum, CorruptSectionIsCaughtOnEveryVerifyingPath) {
   // 2) without touching the table. Structural validation cannot notice
   // — only the section checksum can.
   const auto offset =
-      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 8);
+      load_at<std::uint64_t>(data, entry_at(2) + 8);
   const auto bytes =
-      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 16);
+      load_at<std::uint64_t>(data, entry_at(2) + 16);
   const std::size_t victim = offset + bytes / 2;
   data[victim] = static_cast<char>(data[victim] ^ 0x10);
   write_file(path, data);
@@ -208,7 +181,7 @@ TEST(SnapshotChecksum, ChecksumModeOffSkipsVerification) {
   store.save_file(path);
   std::string data = read_file(path);
   const auto offset =
-      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 8);
+      load_at<std::uint64_t>(data, entry_at(2) + 8);
   data[offset] = static_cast<char>(data[offset] ^ 0x10);
   write_file(path, data);
 
@@ -251,19 +224,21 @@ TEST(SnapshotChecksum, CompressedV4RoundTripsOnBothLoaders) {
 TEST(SnapshotChecksum, PreV4SnapshotsStillLoadWithoutChecksums) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_ck_legacy_load.sks");
-  SnapshotSaveOptions legacy;
-  legacy.checksum = false;
-  store.save_file(path, legacy);
-
-  for (const SnapshotLoadMode mode :
-       {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
-    SnapshotLoadOptions options;
-    options.mode = mode;
-    options.checksums = ChecksumMode::kEager;  // must be a no-op on v2
-    const SketchStore loaded = SketchStore::load_file(path, options);
-    EXPECT_FALSE(loaded.load_stats().checksummed);
-    EXPECT_FALSE(loaded.checksums_pending());
-    EXPECT_TRUE(store == loaded);
+  for (const bool compress : {false, true}) {  // v2, v3
+    SnapshotSaveOptions save;
+    save.compress = compress;
+    write_file(path, to_legacy(snapshot_bytes(store, save)));
+    for (const SnapshotLoadMode mode :
+         {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
+      SnapshotLoadOptions options;
+      options.mode = mode;
+      options.checksums = ChecksumMode::kEager;  // a no-op before v4
+      const SketchStore loaded = SketchStore::load_file(path, options);
+      EXPECT_EQ(loaded.load_stats().version, compress ? 3u : 2u);
+      EXPECT_FALSE(loaded.load_stats().checksummed);
+      EXPECT_FALSE(loaded.checksums_pending());
+      EXPECT_TRUE(store == loaded);
+    }
   }
 }
 
@@ -273,7 +248,7 @@ TEST(SnapshotChecksum, DeepValidateForcesVerificationOnMapLoads) {
   store.save_file(path);
   std::string data = read_file(path);
   const auto offset =
-      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 8);
+      load_at<std::uint64_t>(data, entry_at(2) + 8);
   data[offset] = static_cast<char>(data[offset] ^ 0x01);
   write_file(path, data);
 

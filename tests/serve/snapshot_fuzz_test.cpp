@@ -1,6 +1,6 @@
 // Bit-flip fuzz sweep over snapshot sections. For every format the
-// repo can write (v2 raw, v3 compressed, v4 raw, v4 compressed) and
-// both loaders, a single flipped bit inside any section must surface as
+// repo reads (v2 raw, v3 compressed, v4 raw, v4 compressed — the legacy
+// images derived from the v4 ones) and both load modes, a single flipped bit inside any section must surface as
 // a typed CheckError/FormatError or load as a well-formed store — never
 // crash, never UB. For v4 the bar is higher: the per-section CRC32C
 // must catch every single-bit payload flip, on the stream loader and
@@ -9,23 +9,24 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_bytes.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
 
-constexpr std::size_t kSectionCountAt = 12;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using testing::entry_at;
+using testing::kSectionCountAt;
+using testing::snapshot_bytes;
+using testing::to_legacy;
+using testing::write_file;
 
 struct Section {
   std::uint64_t offset = 0;
@@ -41,28 +42,16 @@ SketchStore make_small_store() {
   return SketchStore::build(g, options, "amazon-fuzz");
 }
 
-std::string snapshot_bytes(const SketchStore& store,
-                           SnapshotSaveOptions options) {
-  std::ostringstream os;
-  store.save(os, options);
-  return os.str();
-}
-
 std::vector<Section> parse_sections(const std::string& data) {
   std::uint32_t count = 0;
   std::memcpy(&count, data.data() + kSectionCountAt, sizeof count);
   std::vector<Section> sections(count);
   for (std::uint32_t s = 0; s < count; ++s) {
-    const std::size_t entry = kTableAt + s * kEntryBytes;
+    const std::size_t entry = entry_at(s);
     std::memcpy(&sections[s].offset, data.data() + entry + 8, 8);
     std::memcpy(&sections[s].bytes, data.data() + entry + 16, 8);
   }
   return sections;
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
 enum class Outcome { kLoaded, kRejected };
@@ -89,7 +78,7 @@ Outcome try_load(const std::string& path, SnapshotLoadMode mode,
 struct Variant {
   const char* label;
   bool compress;
-  bool checksum;
+  bool legacy;  // v2/v3: the v4 image without its checksums
 };
 
 TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
@@ -97,17 +86,17 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
   const std::string path = ::testing::TempDir() + "/eimm_fuzz_victim.sks";
 
   constexpr Variant kVariants[] = {
-      {"v2-raw", false, false},
-      {"v3-compressed", true, false},
-      {"v4-raw", false, true},
-      {"v4-compressed", true, true},
+      {"v2-raw", false, true},
+      {"v3-compressed", true, true},
+      {"v4-raw", false, false},
+      {"v4-compressed", true, false},
   };
 
   for (const Variant& variant : kVariants) {
     SnapshotSaveOptions save;
     save.compress = variant.compress;
-    save.checksum = variant.checksum;
-    const std::string clean = snapshot_bytes(store, save);
+    const std::string v4 = snapshot_bytes(store, save);
+    const std::string clean = variant.legacy ? to_legacy(v4) : v4;
     const std::vector<Section> sections = parse_sections(clean);
     ASSERT_GE(sections.size(), 7u) << variant.label;
 
@@ -139,7 +128,7 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
         const Outcome streamed =
             try_load(path, SnapshotLoadMode::kStream, false);
         const Outcome mapped = try_load(path, SnapshotLoadMode::kMap, true);
-        if (variant.checksum) {
+        if (!variant.legacy) {
           // v4: the section CRC must catch every payload flip.
           EXPECT_EQ(streamed, Outcome::kRejected)
               << variant.label << " section " << s << " byte " << at
@@ -157,7 +146,7 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
 
   // v4 lazy mmap: the corruption must still be fenced at the serving
   // choke point (QueryEngine ctor), not just at eager load time.
-  const std::string clean = snapshot_bytes(store, SnapshotSaveOptions{});
+  const std::string clean = snapshot_bytes(store);
   const std::vector<Section> sections = parse_sections(clean);
   std::string corrupt = clean;
   const std::uint64_t victim = sections[2].offset + sections[2].bytes / 2;

@@ -10,6 +10,7 @@
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_bytes.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
@@ -125,23 +126,32 @@ TEST(SketchSnapshot, TruncationAtEveryRegionThrows) {
 }
 
 TEST(SketchSnapshot, DuplicateSketchMembersThrow) {
-  // A hand-crafted snapshot whose single sketch lists vertex 1 twice:
-  // offsets and ranges all validate, but the duplicate would double-count
-  // coverage — load must reject the non-ascending run.
-  std::stringstream ss;
-  bin::write_header(ss, "EIMMSKS", 1);
-  bin::write_pod(ss, VertexId{2});
-  bin::write_pod(ss, std::uint64_t{1});  // num_sketches
-  bin::write_pod(ss, std::uint64_t{1});  // k_max
-  bin::write_string(ss, "crafted");
-  bin::write_string(ss, "IC");
-  bin::write_pod(ss, std::uint64_t{0});  // rng_seed
-  bin::write_pod(ss, double{0.5});       // epsilon
-  bin::write_pod(ss, std::uint64_t{1});  // theta
-  bin::write_pod(ss, std::uint8_t{0});   // theta_capped
-  bin::write_vec(ss, std::vector<std::uint64_t>{0, 2});
-  bin::write_vec(ss, std::vector<VertexId>{1, 1});
-  EXPECT_THROW(SketchStore::load(ss), CheckError);
+  // One sketch lists its first member twice, with the section CRC
+  // re-stamped over the edit: offsets and ranges all validate, but the
+  // duplicate would double-count coverage — load must reject the
+  // non-ascending run.
+  const SketchStore store = make_store();
+  std::string data = testing::snapshot_bytes(store);
+  const auto offsets_at = static_cast<std::size_t>(
+      testing::load_at<std::uint64_t>(data, testing::entry_at(1) + 8));
+  const auto vertices_at = static_cast<std::size_t>(
+      testing::load_at<std::uint64_t>(data, testing::entry_at(2) + 8));
+  SketchId s = 0;
+  while (store.member_count(s) < 2) ++s;
+  const auto first = static_cast<std::size_t>(
+      testing::load_at<std::uint64_t>(data, offsets_at + s * 8));
+  const std::size_t member_at = vertices_at + first * sizeof(VertexId);
+  testing::store_at(data, member_at + sizeof(VertexId),
+                    testing::load_at<VertexId>(data, member_at));
+  testing::restamp_crc(data, 2);
+  std::stringstream ss(data);
+  try {
+    SketchStore::load(ss);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("ascending"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SketchSnapshot, CorruptedStructureThrows) {

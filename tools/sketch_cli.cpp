@@ -82,9 +82,7 @@ struct CliOptions {
       "                          default EIMM_PIN, then auto)\n"
       "          [--out PATH]   (--out required for 'save')\n"
       "          [--compress]   (save the snapshot with gap-coded sketch\n"
-      "                          payload: v3 format, ~2-4x smaller)\n"
-      "          [--no-checksum] (write legacy v2/v3 bytes without the\n"
-      "                          v4 per-section CRC32C checksums)\n"
+      "                          payload, ~2-4x smaller)\n"
       "       %s load --store PATH [--stream] [--deep-validate]\n"
       "       %s query --store PATH (--k N [--candidates LIST]\n"
       "          [--forbid LIST] | --eval LIST) [--stream] [--deep-validate]\n"
@@ -92,8 +90,9 @@ struct CliOptions {
       "       %s verify SNAPSHOT   (one-shot integrity check: structure,\n"
       "          section checksums, payload and derived-state scans;\n"
       "          exits non-zero with a one-line diagnostic on corruption)\n"
-      "       --stream forces the copying loader (v2+ snapshots mmap by\n"
-      "       default); --deep-validate adds the O(pool) integrity scan\n"
+      "       snapshots are mmap-served by default; --stream reads the\n"
+      "       file into memory instead and verifies it up front;\n"
+      "       --deep-validate adds the O(pool) integrity scan\n"
       "       any verb accepts --metrics OUT.json (obs registry snapshot)\n",
       argv0, argv0, argv0, argv0);
   std::exit(error != nullptr ? 2 : 0);
@@ -225,8 +224,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.load.mode = SnapshotLoadMode::kStream;
     } else if (arg == "--compress") {
       options.save.compress = true;
-    } else if (arg == "--no-checksum") {
-      options.save.checksum = false;
     } else if (arg == "--metrics") {
       options.metrics_path = next();
     } else if (arg == "--deep-validate") {
@@ -318,11 +315,8 @@ int run_build(const CliOptions& options) {
 
   if (options.out_path) {
     store.save_file(*options.out_path, options.save);
-    const unsigned version =
-        options.save.checksum ? 4u : (options.save.compress ? 3u : 2u);
-    std::printf("saved: %s (v%u%s%s)\n", options.out_path->c_str(), version,
-                options.save.compress ? ", compressed" : "",
-                options.save.checksum ? ", checksummed" : "");
+    std::printf("saved: %s (v4%s, checksummed)\n", options.out_path->c_str(),
+                options.save.compress ? ", compressed" : "");
   }
   return 0;
 }
@@ -331,9 +325,9 @@ int run_verify(const CliOptions& options) {
   if (!options.store_path) {
     usage("sketch_cli", "'verify' requires a snapshot path");
   }
-  // Strongest available check in one pass: the stream loader re-reads
-  // every byte, eager checksums verify each v4 section CRC, and the
-  // deep scan validates payload plausibility plus derived state.
+  // Strongest available check in one pass: the stream load reads every
+  // byte, verifies each v4 section CRC eagerly, and the deep scan
+  // validates payload plausibility plus derived state.
   SnapshotLoadOptions load = options.load;
   load.mode = SnapshotLoadMode::kStream;
   load.deep_validate = true;

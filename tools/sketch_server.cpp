@@ -56,7 +56,7 @@ struct ServerCli {
   std::fprintf(
       stderr,
       "usage: %s --socket PATH (--store SNAPSHOT | --workload NAME)\n"
-      "          [--stream]          (copying loader instead of mmap)\n"
+      "          [--stream]          (read into memory instead of mmap)\n"
       "          [--deep-validate]   (O(pool) integrity scan at load)\n"
       "          [--k N] [--model IC|LT] [--scale F] [--seed N]\n"
       "          [--max-rrr N] [--threads N]   (build mode only)\n"
