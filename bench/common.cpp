@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "numa/topology.hpp"
+#include "rrr/sharded.hpp"
 #include "support/env.hpp"
 
 namespace eimm::bench {
@@ -67,6 +68,19 @@ DiffusionGraph load_workload(const BenchConfig& config,
                              const std::string& name, DiffusionModel model) {
   return make_workload_with_weights(name, model, config.scale,
                                     config.rng_seed);
+}
+
+SegmentedPool sample_fixed_pool(const DiffusionGraph& g, DiffusionModel model,
+                                std::uint64_t rng_seed, std::size_t count) {
+  ShardedConfig sampler_config;
+  sampler_config.shards = 1;
+  sampler_config.model = model;
+  sampler_config.rng_seed = rng_seed;
+  sampler_config.adaptive_representation = false;
+  SegmentedPool pool(g.num_vertices());
+  pool.resize(count);
+  ShardedSampler(g.reverse, sampler_config).generate(pool, 0, count, nullptr);
+  return pool;
 }
 
 std::string bench_json_path(const std::string& filename) {

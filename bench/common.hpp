@@ -84,6 +84,12 @@ ImmOptions imm_options(const BenchConfig& config, DiffusionModel model,
 DiffusionGraph load_workload(const BenchConfig& config,
                              const std::string& name, DiffusionModel model);
 
+/// A fixed pool of `count` RRR sets, slots [0, count), sampled through a
+/// one-shard sampler that stages every set as a sorted run — the
+/// configuration whose slots equal the serial sample_rrr sets.
+SegmentedPool sample_fixed_pool(const DiffusionGraph& g, DiffusionModel model,
+                                std::uint64_t rng_seed, std::size_t count);
+
 /// Prints the standard bench banner (binary name, config, host info).
 void print_banner(const std::string& title, const BenchConfig& config);
 

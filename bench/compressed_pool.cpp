@@ -1,7 +1,7 @@
 // compressed_pool — pool footprint vs selection throughput of the three
 // RRR pool backings:
 //
-//   flat    — the raw RRRPool / segmented-arena image (reference).
+//   flat    — the raw segmented-arena image (reference).
 //   varint  — CompressedPool, delta-varint gap runs per set.
 //   huffman — CompressedPool, varint gaps re-coded through one pool-wide
 //             canonical Huffman book.

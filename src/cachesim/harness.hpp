@@ -5,7 +5,6 @@
 #include "cachesim/cache.hpp"
 #include "cachesim/memtrace.hpp"
 #include "core/imm.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "seedselect/select.hpp"
 
@@ -17,9 +16,9 @@ struct TracedSelectionReport {
   std::size_t traced_threads = 0;
 };
 
-/// Replays the chosen kernel over `pool` — a legacy RRRPool or the
-/// sharded sampler's zero-copy view; both convert implicitly — with
-/// `threads` OpenMP threads, each with a private simulated L1/L2.
+/// Replays the chosen kernel over `pool` — a SegmentedPool or a
+/// CompressedPool, both convert implicitly — with `threads` OpenMP
+/// threads, each with a private simulated L1/L2.
 /// Deterministic given the pool and options (dynamic balancing is
 /// disabled inside for a stable trace).
 TracedSelectionReport run_traced_selection(Engine engine,

@@ -25,10 +25,8 @@
 #include "diffusion/model.hpp"
 #include "graph/csr.hpp"
 #include "rrr/fused.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "rrr/sharded.hpp"
-#include "rrr/set.hpp"
 #include "runtime/atomic_counters.hpp"
 #include "seedselect/engine.hpp"
 

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <istream>
 #include <utility>
 
 #include "support/failpoint.hpp"
@@ -26,6 +27,13 @@ std::uint8_t* map_anonymous(std::size_t size, const std::string& what) {
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) fail_errno("cannot allocate a private copy of", what);
   return static_cast<std::uint8_t*>(base);
+}
+
+/// Makes a filled private copy read-only.
+void seal(std::uint8_t* base, std::size_t size, const std::string& what) {
+  if (::mprotect(base, size, PROT_READ) != 0) {
+    fail_errno("cannot make read-only the private copy of", what);
+  }
 }
 
 }  // namespace
@@ -102,7 +110,7 @@ MappedFile MappedFile::read_private(const std::string& path) {
       }
       done += static_cast<std::size_t>(got);
     }
-    ::mprotect(base, size, PROT_READ);
+    seal(base, size, path);
   } catch (...) {
     ::close(fd);
     throw;
@@ -111,12 +119,45 @@ MappedFile MappedFile::read_private(const std::string& path) {
   return file;
 }
 
-MappedFile MappedFile::copy_private(const void* data, std::size_t size) {
+MappedFile MappedFile::read_stream(std::istream& is) {
+  const std::string what = "a stream";
   MappedFile file;
-  if (size == 0) return file;
-  std::uint8_t* base = map_anonymous(size, "an in-memory image");
-  std::memcpy(base, data, size);
-  ::mprotect(base, size, PROT_READ);
+  std::streambuf* source = is.rdbuf();
+  if (source == nullptr) return file;
+  std::size_t capacity = std::size_t{1} << 16;
+  std::uint8_t* base = map_anonymous(capacity, what);
+  std::size_t size = 0;
+  try {
+    for (;;) {
+      if (size == capacity) {
+        void* grown = ::mremap(base, capacity, 2 * capacity, MREMAP_MAYMOVE);
+        if (grown == MAP_FAILED) {
+          fail_errno("cannot grow the private copy of", what);
+        }
+        base = static_cast<std::uint8_t*>(grown);
+        capacity *= 2;
+      }
+      const std::streamsize got = source->sgetn(
+          reinterpret_cast<char*>(base + size),
+          static_cast<std::streamsize>(capacity - size));
+      if (got <= 0) break;
+      size += static_cast<std::size_t>(got);
+    }
+    if (size == 0) {
+      ::munmap(base, capacity);
+      return file;
+    }
+    // Give back the unused tail so the mapping is exactly the pages that
+    // hold the image (reset() unmaps `size` bytes).
+    if (::mremap(base, capacity, size, 0) == MAP_FAILED) {
+      fail_errno("cannot trim the private copy of", what);
+    }
+    capacity = size;
+    seal(base, size, what);
+  } catch (...) {
+    ::munmap(base, capacity);
+    throw;
+  }
   file.data_ = base;
   file.size_ = size;
   file.owned_ = true;

@@ -9,12 +9,13 @@
 // base is page-aligned), so a page-aligned on-disk section can be
 // reinterpreted as a typed array directly from the mapping. The same
 // surface can also hold a private COPY of the bytes (read_private,
-// copy_private): an anonymous mapping, just as page-aligned, so one
+// read_stream): an anonymous mapping, just as page-aligned, so one
 // parser serves shared and owned images alike.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace eimm {
@@ -41,15 +42,16 @@ class MappedFile {
   /// to the file never reach them. Throws CheckError like open_readonly.
   static MappedFile read_private(const std::string& path);
 
-  /// Copies `size` bytes into a private anonymous mapping (sources that
-  /// are not files, e.g. streams). A zero size yields an empty, invalid
-  /// MappedFile.
-  static MappedFile copy_private(const void* data, std::size_t size);
+  /// Reads `is` to its end straight into a private anonymous mapping,
+  /// grown in place (mremap) as bytes arrive and then made read-only, so
+  /// the image is held once. Works on non-seekable streams. An empty
+  /// stream yields an empty, invalid MappedFile.
+  static MappedFile read_stream(std::istream& is);
 
   [[nodiscard]] bool valid() const noexcept { return data_ != nullptr; }
   [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// True when the pages are a private copy (read_private, copy_private)
+  /// True when the pages are a private copy (read_private, read_stream)
   /// rather than the shared page cache of the file.
   [[nodiscard]] bool owned() const noexcept { return owned_; }
 

@@ -75,8 +75,8 @@ void CompressedPool::append(const RRRPoolView& src, std::size_t begin,
   Timer timer;
 
   // Pass 1 (parallel): gap-code every new slot into its own byte vector.
-  // kVector slots (legacy vectors and arena runs) hand over their sorted
-  // span directly; bitmap slots enumerate into a scratch vector first.
+  // kVector slots (sorted arena runs) hand over their span directly;
+  // bitmap slots enumerate into a scratch vector first.
   std::vector<std::vector<std::uint8_t>> gaps(added);
   std::vector<std::uint32_t> new_counts(added);
 #pragma omp parallel for schedule(dynamic, 64)

@@ -1,6 +1,5 @@
-// Pool-scale compressed RRR storage — the third backing behind
-// RRRPoolView, next to the contiguous RRRPool and the zero-copy
-// SegmentedPool.
+// Pool-scale compressed RRR storage — the second backing behind
+// RRRPoolView, next to the zero-copy SegmentedPool.
 //
 // Every slot is the shared delta-varint gap stream (rrr/gap_codec.hpp)
 // of its sorted members, packed into ONE byte blob addressed CSR-style

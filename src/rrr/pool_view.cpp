@@ -101,7 +101,6 @@ std::uint64_t SegmentedPool::mapped_bytes() const noexcept {
 }
 
 std::uint64_t RRRPoolView::total_vertices() const noexcept {
-  if (pool_ != nullptr) return pool_->total_vertices();
   if (comp_ != nullptr) return comp_->total_vertices();
   if (segments_ == nullptr) return 0;
   std::uint64_t total = 0;
@@ -112,18 +111,15 @@ std::uint64_t RRRPoolView::total_vertices() const noexcept {
 }
 
 std::size_t RRRPoolView::bitmap_count() const noexcept {
-  if (pool_ != nullptr) return pool_->bitmap_count();
   return segments_ != nullptr ? segments_->bitmap_count() : 0;
 }
 
 std::uint64_t RRRPoolView::memory_bytes() const noexcept {
-  if (pool_ != nullptr) return pool_->memory_bytes();
   if (comp_ != nullptr) return comp_->memory_bytes();
   return segments_ != nullptr ? segments_->memory_bytes() : 0;
 }
 
 FlatPool RRRPoolView::flatten() const {
-  if (pool_ != nullptr) return pool_->flatten();
   FlatPool flat;
   flat.num_vertices = num_vertices();
   const std::size_t count = size();

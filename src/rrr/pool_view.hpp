@@ -1,4 +1,4 @@
-// Zero-copy storage for sampled RRR sets.
+// Storage for sampled RRR sets.
 //
 // Every build stages its sets straight into the storage selection
 // reads (rrr/sharded.hpp); no contiguous image is built and no payload
@@ -15,37 +15,63 @@
 //                    paper's adaptive pair (§IV-C): a sorted vertex run
 //                    (sparse sets) or a bitmap run of ceil(|V|/64)
 //                    64-bit words (sets at or above bitmap_cutoff(|V|)).
-//   RRRSetView     — one RRR set, whichever storage backs it: a legacy
-//                    RRRSet, a sorted arena run, an arena bitmap run, or
-//                    a gap-coded CompressedPool slot.
+//   RRRSetView     — one RRR set, whichever storage backs it: a sorted
+//                    arena run, an arena bitmap run, or a gap-coded
+//                    CompressedPool slot.
 //   RRRPoolView    — the pool abstraction every selection-side consumer
 //                    (seedselect kernels, SelectionEngine, coverage
 //                    probing, serve/SketchStore freezing, cachesim)
-//                    accepts: a SegmentedPool, a CompressedPool, or a
-//                    legacy RRRPool (tests and benches), behind one
-//                    slot-addressed surface.
+//                    accepts: a SegmentedPool or a CompressedPool,
+//                    behind one slot-addressed surface.
 //
-// Determinism: slot content is identical under every backing (runs are
-// sorted exactly like RRRSet's vector representation; bitmap runs
-// enumerate ascending), so selection over any view is bit-identical to
-// selection over the flattened pool — enforced by tests/rrr/pool_view
-// and the ctest -L statcheck view sweep. flatten() stays available for
-// consumers that genuinely need the contiguous CSR image (snapshot
-// serialization); everything else reads in place.
+// Determinism: slot content is identical under both backings (runs are
+// sorted; bitmap runs and compressed slots enumerate ascending), so
+// selection over either view is bit-identical to selection over the
+// flattened pool — enforced by tests/rrr/pool_view and the ctest -L
+// statcheck view sweep. flatten() stays available for consumers that
+// genuinely need the contiguous CSR image (snapshot serialization);
+// everything else reads in place.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
 #include "numa/alloc.hpp"
 #include "rrr/compressed_pool.hpp"
-#include "rrr/pool.hpp"
-#include "rrr/set.hpp"
 #include "support/bits.hpp"
 
 namespace eimm {
+
+/// Flat CSR image of a pool: set `i` owns the ascending vertex run
+/// `vertices[offsets[i] .. offsets[i+1])`. This is the frozen layout the
+/// serve/ subsystem snapshots — one allocation per array, so it
+/// serializes cleanly.
+struct FlatPool {
+  VertexId num_vertices = 0;
+  std::vector<std::uint64_t> offsets;  // size() == set count + 1
+  std::vector<VertexId> vertices;      // ascending within each set
+};
+
+/// How a set's members are physically stored. kVector (a sorted run)
+/// and kBitmap (a bitmap run) are the paper's adaptive pair; kCompressed
+/// marks gap-coded CompressedPool slots — the selection kernels route
+/// bitmap and compressed sets through their generic for_each/contains
+/// path (decode on enumerate), never the vertices() span fast path.
+enum class RRRRepr { kVector, kBitmap, kCompressed };
+
+/// Member count at which a set over `num_vertices` vertices crosses to
+/// the bitmap side: sets of at least this size are dense. |V|/32 is
+/// where a bitmap (1 bit per vertex) becomes smaller than a sorted run
+/// (4-byte ids).
+[[nodiscard]] constexpr std::size_t bitmap_cutoff(
+    VertexId num_vertices) noexcept {
+  return num_vertices / 32;
+}
 
 /// Worker-private staging storage for sampled sets: page-aligned
 /// NumaBuffer chunks requested kLocal, so the pages land on the sampling
@@ -109,8 +135,8 @@ class ShardArena {
   std::uint64_t staged_units_ = 0;
 };
 
-/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, an
-/// arena bitmap run, or a gap-coded CompressedPool slot. Same observable
+/// One RRR set behind the view: a sorted arena run, an arena bitmap run,
+/// or a gap-coded CompressedPool slot. Same observable
 /// surface every way — ascending for_each enumeration, exact contains —
 /// so the selection kernels produce identical seed sequences no matter
 /// which storage backs the pool. Compressed slots report repr() ==
@@ -120,8 +146,6 @@ class ShardArena {
 class RRRSetView {
  public:
   RRRSetView() = default;
-  /*implicit*/ RRRSetView(const RRRSet& set) noexcept
-      : kind_(Kind::kSet), set_(&set) {}
   /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
       : run_(run) {}
   /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
@@ -144,7 +168,6 @@ class RRRSetView {
   /// kBitmap for arena bitmap runs, kCompressed for CompressedPool slots.
   [[nodiscard]] RRRRepr repr() const noexcept {
     switch (kind_) {
-      case Kind::kSet: return set_->repr();
       case Kind::kBitmap: return RRRRepr::kBitmap;
       case Kind::kCompressed: return RRRRepr::kCompressed;
       case Kind::kRun: break;
@@ -155,7 +178,6 @@ class RRRSetView {
   /// Member count (a bitmap run keeps it beside its words).
   [[nodiscard]] std::size_t size() const noexcept {
     switch (kind_) {
-      case Kind::kSet: return set_->size();
       case Kind::kCompressed: return comp_.count;
       case Kind::kRun:
       case Kind::kBitmap: break;
@@ -164,26 +186,17 @@ class RRRSetView {
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
-  /// Sorted-member span; valid only when repr() == kVector (mirrors
-  /// RRRSet::vertices(), which the baseline binary-search kernel uses).
-  /// Empty for bitmap runs and compressed slots — they have no
-  /// materialized member list.
+  /// Sorted-member span; valid only when repr() == kVector (the
+  /// baseline binary-search kernel reads it directly). Empty for bitmap
+  /// runs and compressed slots — they have no materialized member list.
   [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
-    switch (kind_) {
-      case Kind::kSet:
-        return {set_->vertices().data(), set_->vertices().size()};
-      case Kind::kBitmap:
-      case Kind::kCompressed: return {};
-      case Kind::kRun: break;
-    }
-    return run_;
+    return kind_ == Kind::kRun ? run_ : std::span<const VertexId>{};
   }
 
   /// Membership. May throw CheckError for a compressed slot whose
   /// payload is corrupt (bounds-checked decode) — hence not noexcept.
   [[nodiscard]] bool contains(VertexId v) const {
     switch (kind_) {
-      case Kind::kSet: return set_->contains(v);
       case Kind::kBitmap:
         return v < bits_ && ((words_[v >> 6] >> (v & 63)) & 1) != 0;
       case Kind::kCompressed: return comp_.contains(v);
@@ -196,7 +209,6 @@ class RRRSetView {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     switch (kind_) {
-      case Kind::kSet: set_->for_each(std::forward<Fn>(fn)); return;
       case Kind::kBitmap: {
         const std::size_t words = words_for_bits(bits_);
         for (std::size_t w = 0; w < words; ++w) {
@@ -213,11 +225,10 @@ class RRRSetView {
   }
 
  private:
-  enum class Kind : std::uint8_t { kRun, kSet, kBitmap, kCompressed };
+  enum class Kind : std::uint8_t { kRun, kBitmap, kCompressed };
 
   Kind kind_ = Kind::kRun;
   VertexId bits_ = 0;                    // kBitmap: |V|
-  const RRRSet* set_ = nullptr;          // kSet
   const std::uint64_t* words_ = nullptr;  // kBitmap
   std::span<const VertexId> run_;        // kRun; kBitmap: size only
   CompressedSlot comp_;                  // kCompressed
@@ -315,13 +326,12 @@ class SegmentedPool {
   std::vector<ShardArena> arenas_;
 };
 
-/// Non-owning, slot-addressed view over any pool storage. Implicit
+/// Non-owning, slot-addressed view over either pool storage. Implicit
 /// construction keeps every pool call site source-compatible; the
 /// referenced pool must outlive the view (same contract as std::span).
 class RRRPoolView {
  public:
   RRRPoolView() = default;
-  /*implicit*/ RRRPoolView(const RRRPool& pool) noexcept : pool_(&pool) {}
   /*implicit*/ RRRPoolView(const SegmentedPool& segments) noexcept
       : segments_(&segments) {}
   /*implicit*/ RRRPoolView(const CompressedPool& comp) noexcept
@@ -336,38 +346,35 @@ class RRRPoolView {
   }
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
-    if (pool_ != nullptr) return pool_->num_vertices();
     if (segments_ != nullptr) return segments_->num_vertices();
     return comp_ != nullptr ? comp_->num_vertices() : 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
-    if (pool_ != nullptr) return pool_->size();
     if (segments_ != nullptr) return segments_->size();
     return comp_ != nullptr ? comp_->size() : 0;
   }
 
   [[nodiscard]] RRRSetView operator[](std::size_t i) const noexcept {
-    if (pool_ != nullptr) return RRRSetView((*pool_)[i]);
     if (segments_ != nullptr) return (*segments_)[i];
     return RRRSetView(comp_->slot(i));
   }
 
   /// Sum of set sizes (== total counter increments during a build).
   [[nodiscard]] std::uint64_t total_vertices() const noexcept;
-  /// Sets in bitmap representation (RRRSet bitmaps or bitmap runs).
+  /// Sets held as bitmap runs.
   [[nodiscard]] std::size_t bitmap_count() const noexcept;
-  /// Heap/staging footprint of the backing storage.
+  /// Footprint of the backing storage: mapped arena bytes plus the slot
+  /// table, or the compressed pool's resident bytes.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Copies every set into one contiguous CSR image — the ONLY remaining
   /// payload copy on the data path, kept for snapshot serialization and
-  /// cross-backing equality checks. Parallel fill; bitmap sets and
-  /// bitmap runs expand to sorted runs.
+  /// cross-backing equality checks. Parallel fill; bitmap runs expand to
+  /// sorted runs.
   [[nodiscard]] FlatPool flatten() const;
 
  private:
-  const RRRPool* pool_ = nullptr;
   const SegmentedPool* segments_ = nullptr;
   const CompressedPool* comp_ = nullptr;
 };

@@ -42,7 +42,6 @@
 #include "numa/alloc.hpp"
 #include "numa/topology.hpp"
 #include "rrr/pool_view.hpp"
-#include "rrr/set.hpp"
 #include "runtime/atomic_counters.hpp"
 
 namespace eimm {

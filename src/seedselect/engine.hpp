@@ -127,9 +127,9 @@ class SelectionEngine {
   /// Effective pin mode (kAuto already resolved against the topology).
   [[nodiscard]] PinMode pin_mode() const noexcept { return pin_; }
 
-  /// Greedy selection over a pool view — the legacy contiguous RRRPool
-  /// or the sharded sampler's SegmentedPool, consumed IN PLACE (both
-  /// convert implicitly; no flattening happens here). `base`, when
+  /// Greedy selection over a pool view — the sharded sampler's
+  /// SegmentedPool or a CompressedPool, consumed IN PLACE (both convert
+  /// implicitly; no flattening happens here). `base`, when
   /// non-null, holds the fused initial counters (kernel fusion,
   /// Algorithm 3); the engine copies them into its working layout and
   /// skips the initial build. `workspace`, when non-null, supplies the
@@ -155,9 +155,9 @@ class SelectionEngine {
   /// Traced variant for the cachesim harness: flat counters only (the
   /// cache model observes the paper's Algorithm 2 layout), no pinning
   /// (the trace must be schedule-stable). Accepts the same pool view as
-  /// select(), so traces run over legacy pools and zero-copy segments
-  /// alike. `counters` is required for the efficient kernel and ignored
-  /// by ripples (which keeps thread-local counters of its own).
+  /// select(), so traces run over zero-copy segments and compressed
+  /// pools alike. `counters` is required for the efficient kernel and
+  /// ignored by ripples (which keeps thread-local counters of its own).
   template <typename Mem>
   SelectionResult select_traced(SelectionKernel kernel,
                                 const RRRPoolView& pool,

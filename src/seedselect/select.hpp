@@ -40,13 +40,12 @@
 // Both kernels are templated on a Mem policy that observes every data
 // access (counters, set payloads, index reads); NullMem compiles to
 // nothing, and src/cachesim provides a tracing policy that feeds the
-// L1/L2 model for the Table IV reproduction. They are additionally
-// templated on the Pool storage: the legacy RRRPool or an RRRPoolView
-// (rrr/pool_view.hpp) over shard-local arena segments — the zero-copy
-// hand-off from the sharded sampler. Both kernels break counter ties
-// toward the lowest vertex id, so they return identical seed sequences
-// on the same pool content, whichever storage backs it — a
-// cross-validation the test suite enforces.
+// L1/L2 model for the Table IV reproduction. Both read the pool through
+// an RRRPoolView (rrr/pool_view.hpp): the sharded sampler's arena
+// segments in place, or a gap-coded CompressedPool. Both kernels break
+// counter ties toward the lowest vertex id, so they return identical
+// seed sequences on the same pool content, whichever storage backs it —
+// a cross-validation the test suite enforces.
 #pragma once
 
 #include <omp.h>
@@ -62,7 +61,6 @@
 #include "runtime/partition.hpp"
 #include "runtime/reduction.hpp"
 #include "runtime/work_queue.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "support/macros.hpp"
 
@@ -167,12 +165,17 @@ struct SelectionResult {
 
 namespace detail {
 
+/// Raises CheckError unless `num_sets` slots can all be named by a
+/// 32-bit set id (the cover index stores SketchIds).
+inline void check_set_ids(std::size_t num_sets) {
+  EIMM_CHECK(num_sets < std::numeric_limits<SketchId>::max(),
+             "pool too large for 32-bit set ids");
+}
+
 /// Traced iteration over one RRR set: touches the payload the way the
 /// real representation lays it out (vector elements or bitmap words).
-/// `SetT` is RRRSet or RRRSetView — both expose the same surface, so the
-/// kernels run unchanged over legacy pools and zero-copy views.
-template <typename Mem, typename SetT, typename Fn>
-void for_each_traced(const SetT& set, Fn&& fn) {
+template <typename Mem, typename Fn>
+void for_each_traced(const RRRSetView& set, Fn&& fn) {
   if (set.repr() == RRRRepr::kVector) {
     const auto& verts = set.vertices();
     for (const VertexId v : verts) {
@@ -189,8 +192,8 @@ void for_each_traced(const SetT& set, Fn&& fn) {
 }
 
 /// Traced membership test (binary search probes / single bit test).
-template <typename Mem, typename SetT>
-bool contains_traced(const SetT& set, VertexId v) {
+template <typename Mem>
+bool contains_traced(const RRRSetView& set, VertexId v) {
   if (set.repr() == RRRRepr::kVector) {
     const auto& verts = set.vertices();
     std::size_t lo = 0, hi = verts.size();
@@ -226,14 +229,11 @@ bool contains_traced(const SetT& set, VertexId v) {
 /// schedule. Temporary memory: 8 B per new sparse member. Requires
 /// θ < 2^32 (the kernel checks it): a vertex's old and new run lengths
 /// share one 64-bit word while counting.
-template <typename Mem, typename PoolT>
-void build_cover_index(const PoolT& pool, CoverIndex& index) {
+template <typename Mem>
+void build_cover_index(const RRRPoolView& pool, CoverIndex& index) {
   const std::size_t num_sets = pool.size();
   const VertexId n = pool.num_vertices();
-  bool compressed = false;
-  if constexpr (requires { pool.compressed(); }) {
-    compressed = pool.compressed();
-  }
+  const bool compressed = pool.compressed();
   if (index.indexed == 0) {
     index.clear();
     index.num_vertices = n;
@@ -413,16 +413,15 @@ ArgMaxResult argmax_counters(const Counters& counters,
 // EfficientIMM kernel (Algorithm 2)
 // ---------------------------------------------------------------------------
 
-template <typename Mem = NullMem, typename Counters = CounterArray,
-          typename PoolT = RRRPool>
-SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
+template <typename Mem = NullMem, typename Counters = CounterArray>
+SelectionResult efficient_select_t(const RRRPoolView& pool,
+                                   Counters& counters,
                                    const SelectionOptions& options) {
   const std::size_t num_sets = pool.size();
   const VertexId n = pool.num_vertices();
   EIMM_CHECK(counters.size() >= n, "counter array smaller than vertex count");
   EIMM_CHECK(options.k > 0, "k must be positive");
-  EIMM_CHECK(num_sets < std::numeric_limits<SketchId>::max(),
-             "pool too large for 32-bit set ids");
+  detail::check_set_ids(num_sets);
   const std::uint8_t* eligible = nullptr;
   if (options.eligible != nullptr) {
     // The arg-max scans the whole counter array, so the mask must cover
@@ -582,8 +581,8 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
 // Ripples baseline kernel (§II-B)
 // ---------------------------------------------------------------------------
 
-template <typename Mem = NullMem, typename PoolT = RRRPool>
-SelectionResult ripples_select_t(const PoolT& pool,
+template <typename Mem = NullMem>
+SelectionResult ripples_select_t(const RRRPoolView& pool,
                                  const SelectionOptions& options) {
   const std::size_t num_sets = pool.size();
   const VertexId n = pool.num_vertices();
@@ -708,9 +707,10 @@ SelectionResult ripples_select_t(const PoolT& pool,
 }
 
 /// Production-path wrappers (NullMem), defined in select.cpp.
-SelectionResult efficient_select(const RRRPool& pool, CounterArray& counters,
+SelectionResult efficient_select(const RRRPoolView& pool,
+                                 CounterArray& counters,
                                  const SelectionOptions& options);
-SelectionResult ripples_select(const RRRPool& pool,
+SelectionResult ripples_select(const RRRPoolView& pool,
                                const SelectionOptions& options);
 
 }  // namespace eimm

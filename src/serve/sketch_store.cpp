@@ -240,6 +240,9 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
   SketchStore store;
   store.num_vertices_ = view.num_vertices();
   store.num_sketches_ = view.size();
+  // Greedy selection can never return more than |V| seeds, so a cap
+  // above that is meaningless — clamping keeps k_max ≤ |V| a snapshot
+  // invariant load() can enforce against corrupt files.
   store.k_max_ = std::min<std::uint64_t>(k_max, view.num_vertices());
   store.meta_ = std::move(meta);
 
@@ -295,33 +298,6 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
   }
   store.sketch_offsets_ = store.sketch_offsets_own_;
   store.flat_ = false;
-  store.finalize();
-  return store;
-}
-
-SketchStore SketchStore::from_pool(const RRRPool& pool, std::size_t k_max,
-                                   SketchStoreMeta meta) {
-  EIMM_CHECK(pool.num_vertices() > 0, "cannot freeze a zero-vertex pool");
-  EIMM_CHECK(k_max > 0, "build-time query cap must be positive");
-  EIMM_CHECK(pool.size() <
-                 std::numeric_limits<SketchId>::max(),
-             "pool too large for 32-bit sketch ids");
-
-  SketchStore store;
-  store.num_vertices_ = pool.num_vertices();
-  store.num_sketches_ = pool.size();
-  // Greedy selection can never return more than |V| seeds, so a cap
-  // above that is meaningless — clamping keeps k_max ≤ |V| a snapshot
-  // invariant load() can enforce against corrupt files.
-  store.k_max_ = std::min<std::uint64_t>(k_max, pool.num_vertices());
-  store.meta_ = std::move(meta);
-
-  FlatPool flat = pool.flatten();
-  store.sketch_offsets_own_ = std::move(flat.offsets);
-  store.sketch_vertices_own_ = std::move(flat.vertices);
-  store.sketch_offsets_ = store.sketch_offsets_own_;
-  store.sketch_vertices_ = store.sketch_vertices_own_;
-  store.flat_ = true;
   store.finalize();
   return store;
 }
@@ -858,11 +834,8 @@ bool SketchStore::checksums_pending() const noexcept {
 }
 
 SketchStore SketchStore::load(std::istream& is) {
-  std::ostringstream bytes(std::ios::binary);
-  bytes << is.rdbuf();
-  const std::string image = std::move(bytes).str();
-  return load_image(MappedFile::copy_private(image.data(), image.size()),
-                    "stream", {SnapshotLoadMode::kStream});
+  return load_image(MappedFile::read_stream(is), "stream",
+                    {SnapshotLoadMode::kStream});
 }
 
 SketchStore SketchStore::load_file(const std::string& path,

@@ -15,12 +15,12 @@
 // cap k_max, so plain top-k queries are an O(k) prefix read.
 //
 // Zero-copy freezing: build() takes ownership of the PoolBuild's storage
-// and serves sketch() spans straight from it — arena runs of the sharded
-// SegmentedPool, or the RRRSets' own sorted vectors (only bitmap sets
-// are expanded, into one side array). The contiguous CSR image is NOT
-// materialized at build time; flatten is deferred to save() (or an
-// explicit materialize_flat()), so build-and-query-only workloads never
-// pay the copy.
+// and serves sketch() spans straight from it — the sorted arena runs of
+// the sharded SegmentedPool (only bitmap runs are expanded, into one
+// side array), or the gap-coded CompressedPool as is. The contiguous
+// CSR image is NOT materialized at build time; flatten is deferred to
+// save() (or an explicit materialize_flat()), so build-and-query-only
+// workloads never pay the copy.
 //
 // Snapshots (magic "EIMMSKS") share one page-aligned section-table
 // layout: a header + section table (id, CRC slot, offset, length; every
@@ -70,7 +70,6 @@
 #include "graph/types.hpp"
 #include "io/mmap.hpp"
 #include "rrr/compressed_pool.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "support/macros.hpp"
 
@@ -168,11 +167,6 @@ class SketchStore {
   /// decode on enumerate (see for_each_member).
   static SketchStore from_build(PoolBuild&& build, std::size_t k_max,
                                 SketchStoreMeta meta = {});
-
-  /// Freezes a COPY of an existing pool via the contiguous image (test
-  /// seam and offline conversions; the caller keeps the pool).
-  static SketchStore from_pool(const RRRPool& pool, std::size_t k_max,
-                               SketchStoreMeta meta = {});
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
     return num_vertices_;

@@ -12,7 +12,7 @@
 namespace eimm {
 namespace {
 
-RRRPool dense_pool() {
+SegmentedPool dense_pool() {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.02, 5);
   return testing::sample_pool(g, DiffusionModel::kIndependentCascade, 150,
@@ -20,7 +20,7 @@ RRRPool dense_pool() {
 }
 
 TEST(TracedSelection, SeedsMatchUntracedKernels) {
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   SelectionOptions options;
   options.k = 5;
   options.dynamic_balance = false;
@@ -35,15 +35,15 @@ TEST(TracedSelection, SeedsMatchUntracedKernels) {
 // LT sampling yields short sets: every one sits below the bitmap
 // crossover, so the efficient kernel retires covered sets purely
 // through its vertex→set index.
-RRRPool lt_pool() {
+SegmentedPool lt_pool() {
   const DiffusionGraph g = make_workload_with_weights(
       "as-Skitter", DiffusionModel::kLinearThreshold, 0.02, 5);
   return testing::sample_pool(g, DiffusionModel::kLinearThreshold, 3000, 91,
-                              /*adaptive=*/true);
+                              bitmap_cutoff(g.num_vertices()));
 }
 
 TEST(TracedSelection, IndexPathSeedsMatchUntracedOnLtPool) {
-  const RRRPool pool = lt_pool();
+  const SegmentedPool pool = lt_pool();
   const std::size_t cutoff = bitmap_cutoff(pool.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     ASSERT_LT(pool[i].size(), cutoff) << "set " << i;
@@ -75,7 +75,7 @@ struct RecordingMem {
 };
 
 TEST(TracedSelection, TouchesFollowTheIndexWalk) {
-  const RRRPool pool = lt_pool();
+  const SegmentedPool pool = lt_pool();
   ThreadCountScope scope(1);
   SelectionOptions options;
   options.k = 10;
@@ -110,7 +110,7 @@ TEST(TracedSelection, TouchesFollowTheIndexWalk) {
 }
 
 TEST(TracedSelection, RipplesSeedsMatchToo) {
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   SelectionOptions options;
   options.k = 5;
   const auto untraced = ripples_select(pool, options);
@@ -120,7 +120,7 @@ TEST(TracedSelection, RipplesSeedsMatchToo) {
 }
 
 TEST(TracedSelection, RecordsAccesses) {
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   const auto report =
       run_traced_selection(Engine::kEfficient, pool, 3, /*threads=*/1);
   EXPECT_GT(report.cache.accesses, 0u);
@@ -134,7 +134,7 @@ TEST(TracedSelection, RipplesTrafficGrowsWithThreads) {
   // every RRR set and binary-searches its vertex range, so the probe
   // traffic replicates with the thread count (the member walks stay
   // partitioned, so total access growth is sublinear but must be real).
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   const auto t1 = run_traced_selection(Engine::kRipples, pool, 3, 1);
   const auto t4 = run_traced_selection(Engine::kRipples, pool, 3, 4);
   EXPECT_GT(t4.cache.accesses, t1.cache.accesses);
@@ -150,7 +150,7 @@ TEST(TracedSelection, RipplesTrafficGrowsWithThreads) {
 }
 
 TEST(TracedSelection, EfficientTrafficRoughlyThreadInvariant) {
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   const auto t1 = run_traced_selection(Engine::kEfficient, pool, 3, 1);
   const auto t4 = run_traced_selection(Engine::kEfficient, pool, 3, 4);
   // RRR-set partitioning: total work is split, not replicated. Allow a
@@ -162,7 +162,7 @@ TEST(TracedSelection, EfficientTrafficRoughlyThreadInvariant) {
 TEST(TracedSelection, EfficientBeatsRipplesOnMisses) {
   // The Table IV headline at test scale: with several threads, the
   // RRR-partitioned kernel must take far fewer L1+L2 misses.
-  const RRRPool pool = dense_pool();
+  const SegmentedPool pool = dense_pool();
   const auto efficient =
       run_traced_selection(Engine::kEfficient, pool, 5, 4);
   const auto ripples = run_traced_selection(Engine::kRipples, pool, 5, 4);

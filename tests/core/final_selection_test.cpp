@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/imm.hpp"
 #include "seedselect/engine.hpp"
@@ -132,6 +133,41 @@ TEST(FinalSelection, BuildLeavesItsWorkspaceBoundAndIndexedToTheLastProbe) {
   EXPECT_EQ(build.workspace.cover_index().indexed,
             build.last_probe.total_sets);
   EXPECT_EQ(build.last_probe.total_sets, build.iterations.back().theta);
+}
+
+// Literal seed sequences of run_imm at a fixed seed, k = 8, scale 0.05,
+// recorded before the pool storage was reduced to SegmentedPool. Both
+// engines select the same seeds. They pin the selection across commits,
+// so a change to the pool storage, the selection kernels or the sampler
+// that moves a single seed fails here by name.
+struct GoldenSeeds {
+  const char* workload;
+  DiffusionModel model;
+  std::vector<VertexId> seeds;
+};
+
+TEST(FinalSelection, GoldenSeedsAtAFixedSeed) {
+  const GoldenSeeds cases[] = {
+      {"com-Amazon", DiffusionModel::kIndependentCascade,
+       {651, 728, 521, 704, 752, 495, 568, 283}},
+      {"com-Amazon", DiffusionModel::kLinearThreshold,
+       {332, 784, 605, 742, 98, 636, 1032, 842}},
+      {"as-Skitter", DiffusionModel::kIndependentCascade,
+       {471, 631, 126, 1000, 677, 292, 75, 618}},
+      {"as-Skitter", DiffusionModel::kLinearThreshold,
+       {181, 196, 372, 121, 515, 983, 369, 397}},
+  };
+  for (const GoldenSeeds& c : cases) {
+    const DiffusionGraph graph =
+        make_workload_with_weights(c.workload, c.model, 0.05);
+    ImmOptions options = options_for(c.model, 8, kVariants[0]);
+    options.rng_seed = 20240924;
+    for (const Engine engine : {Engine::kEfficient, Engine::kRipples}) {
+      EXPECT_EQ(run_imm(graph, options, engine).seeds, c.seeds)
+          << c.workload << "/" << to_string(c.model) << "/"
+          << to_string(engine);
+    }
+  }
 }
 
 }  // namespace

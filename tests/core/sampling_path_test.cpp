@@ -68,10 +68,10 @@ TEST_P(SamplingPath, EveryConfigurationMatchesTheSerialReference) {
     const PoolBuild build = build_rrr_pool(g, opt, c.engine);
     ASSERT_GT(build.size(), 0u) << c.name;
 
-    const RRRPool reference =
+    const SegmentedPool reference =
         testing::sample_pool(g, model, build.size(), opt.rng_seed);
     const FlatPool actual = build.view().flatten();
-    const FlatPool expected = reference.flatten();
+    const FlatPool expected = RRRPoolView(reference).flatten();
     EXPECT_EQ(actual.offsets, expected.offsets) << c.name;
     EXPECT_EQ(actual.vertices, expected.vertices) << c.name;
 

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "seedselect/engine.hpp"
 #include "support/macros.hpp"
@@ -16,28 +15,25 @@
 namespace eimm {
 namespace {
 
-RRRPool make_pool(VertexId n, std::size_t sets, std::uint64_t seed,
-                  std::size_t max_size = 60) {
-  RRRPool pool(n);
-  pool.resize(sets);
+SegmentedPool random_pool(VertexId n, std::size_t count, std::uint64_t seed,
+                          std::size_t max_size = 60) {
+  std::vector<std::vector<VertexId>> sets(count);
   Xoshiro256 rng(seed);
-  for (std::size_t i = 0; i < sets; ++i) {
-    std::vector<VertexId> members;
-    const std::size_t count = rng.next_bounded(max_size);
-    for (std::size_t j = 0; j < count; ++j) {
+  for (std::vector<VertexId>& members : sets) {
+    const std::size_t size = rng.next_bounded(max_size);
+    for (std::size_t j = 0; j < size; ++j) {
       members.push_back(static_cast<VertexId>(rng.next_bounded(n)));
     }
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()),
                   members.end());
-    pool[i] = RRRSet::make_vector(members);
   }
-  return pool;
+  return testing::make_pool(n, sets);
 }
 
 TEST(CompressedPool, SlotIdentityAgainstSourceBothCodecs) {
   const VertexId n = 40'000;
-  const RRRPool source = make_pool(n, 300, 31);
+  const SegmentedPool source = random_pool(n, 300, 31);
   for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
     CompressedPool cpool(n, codec);
     cpool.append(RRRPoolView(source), 0, source.size());
@@ -54,7 +50,7 @@ TEST(CompressedPool, SlotIdentityAgainstSourceBothCodecs) {
 
 TEST(CompressedPool, MultiRoundAppendMatchesSingleAppend) {
   const VertexId n = 10'000;
-  const RRRPool source = make_pool(n, 257, 47);
+  const SegmentedPool source = random_pool(n, 257, 47);
   CompressedPool whole(n);
   whole.append(RRRPoolView(source), 0, source.size());
 
@@ -71,7 +67,7 @@ TEST(CompressedPool, MultiRoundAppendMatchesSingleAppend) {
 }
 
 TEST(CompressedPool, AppendRequiresInOrderRounds) {
-  const RRRPool source = make_pool(1000, 10, 3);
+  const SegmentedPool source = random_pool(1000, 10, 3);
   CompressedPool cpool(1000);
   cpool.append(RRRPoolView(source), 0, 5);
   EXPECT_THROW(cpool.append(RRRPoolView(source), 0, 5), CheckError);
@@ -81,12 +77,11 @@ TEST(CompressedPool, AppendRequiresInOrderRounds) {
 
 TEST(CompressedPool, EdgeSlots) {
   const VertexId big = kInvalidVertex - 1;
-  RRRPool source(kInvalidVertex);
-  source.resize(4);
-  source[0] = RRRSet::make_vector({});            // empty slot
-  source[1] = RRRSet::make_vector({0});           // vertex 0
-  source[2] = RRRSet::make_vector({big});         // max representable id
-  source[3] = RRRSet::make_vector({7, 8, 9, 10});  // adjacent ids
+  const SegmentedPool source =
+      testing::make_pool(kInvalidVertex, {{},              // empty slot
+                                          {0},             // vertex 0
+                                          {big},           // max id
+                                          {7, 8, 9, 10}});  // adjacent ids
   for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
     CompressedPool cpool(kInvalidVertex, codec);
     cpool.append(RRRPoolView(source), 0, 4);
@@ -102,8 +97,8 @@ TEST(CompressedPool, EdgeSlots) {
 
 TEST(CompressedPool, ViewFlattenBitMatchesSourceFlatten) {
   const VertexId n = 25'000;
-  const RRRPool source = make_pool(n, 400, 53);
-  const FlatPool reference = source.flatten();
+  const SegmentedPool source = random_pool(n, 400, 53);
+  const FlatPool reference = RRRPoolView(source).flatten();
   for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
     CompressedPool cpool(n, codec);
     cpool.append(RRRPoolView(source), 0, source.size());
@@ -117,7 +112,7 @@ TEST(CompressedPool, ViewFlattenBitMatchesSourceFlatten) {
 }
 
 TEST(CompressedPool, ViewReportsCompressedRepr) {
-  const RRRPool source = make_pool(5000, 20, 9);
+  const SegmentedPool source = random_pool(5000, 20, 9);
   CompressedPool cpool(5000);
   cpool.append(RRRPoolView(source), 0, source.size());
   const RRRPoolView view(cpool);
@@ -125,7 +120,8 @@ TEST(CompressedPool, ViewReportsCompressedRepr) {
     EXPECT_EQ(view[i].repr(), RRRRepr::kCompressed);
     EXPECT_EQ(view[i].size(), source[i].size());
   }
-  EXPECT_LT(view.memory_bytes(), RRRPoolView(source).memory_bytes());
+  // Against the raw sets' own bytes, not the arena's mapped chunk.
+  EXPECT_LT(view.memory_bytes(), source.staged_bytes());
 }
 
 TEST(CompressedPool, SelectionSeedsMatchRawPool) {
@@ -138,8 +134,9 @@ TEST(CompressedPool, SelectionSeedsMatchRawPool) {
   }
   const DiffusionGraph g = testing::make_weighted_graph(
       std::move(edges), DiffusionModel::kIndependentCascade);
-  const RRRPool raw = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 4000, 0xFEED, true);
+  const SegmentedPool raw =
+      testing::sample_pool(g, DiffusionModel::kIndependentCascade, 4000,
+                           0xFEED, bitmap_cutoff(g.num_vertices()));
   SelectionOptions sopt;
   sopt.k = 8;
   const SelectionEngine engine;
@@ -167,18 +164,16 @@ TEST(CompressedPool, HuffmanPacksBelowVarint) {
   // Dense adjacent-ish sets: the gap bytes are heavily skewed, the case
   // the second stage exists for.
   const VertexId n = 200'000;
-  RRRPool source(n);
-  source.resize(64);
+  std::vector<std::vector<VertexId>> sets(64);
   Xoshiro256 rng(77);
-  for (std::size_t i = 0; i < 64; ++i) {
-    std::vector<VertexId> members;
+  for (std::vector<VertexId>& members : sets) {
     VertexId v = static_cast<VertexId>(rng.next_bounded(1000));
     for (int j = 0; j < 500; ++j) {
       v += 1 + static_cast<VertexId>(rng.next_bounded(3));
       members.push_back(v);
     }
-    source[i] = RRRSet::make_vector(members);
   }
+  const SegmentedPool source = testing::make_pool(n, sets);
   CompressedPool varint(n, PoolCodec::kVarint);
   varint.append(RRRPoolView(source), 0, source.size());
   CompressedPool huffman(n, PoolCodec::kHuffman);

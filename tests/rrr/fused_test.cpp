@@ -148,8 +148,9 @@ TEST(FusedSampling, LTSetsAreBitIdenticalToScalar) {
   sampler.generate(pool, 0, kSets, nullptr);
   const FlatPool fused = RRRPoolView(pool).flatten();
   const FlatPool scalar =
-      testing::sample_pool(g, DiffusionModel::kLinearThreshold, kSets, kSeed,
-                           /*adaptive=*/true)
+      RRRPoolView(testing::sample_pool(g, DiffusionModel::kLinearThreshold,
+                                       kSets, kSeed,
+                                       bitmap_cutoff(g.num_vertices())))
           .flatten();
   EXPECT_EQ(fused.offsets, scalar.offsets);
   EXPECT_EQ(fused.vertices, scalar.vertices);

@@ -1,10 +1,11 @@
-// The zero-copy storage contract: a view over the legacy RRRPool and a
-// view over shard-local SegmentedPool storage holding the SAME sets —
-// as sorted runs or as bitmap runs — must be indistinguishable
-// slot-by-slot: size, membership, enumeration order, and the flattened
-// CSR image, because the selection kernels' bit-identical seed guarantee
-// rests on exactly this equivalence. Also covers the ShardArena reset()
-// chunk-reuse semantics the compressed-pool build depends on.
+// The zero-copy storage contract: views over SegmentedPool storage
+// holding the SAME sets — as sorted runs or as bitmap runs, in one arena
+// or spread over several — and over a CompressedPool of them must be
+// indistinguishable slot-by-slot: size, membership, enumeration order,
+// and the flattened CSR image, because the selection kernels'
+// bit-identical seed guarantee rests on exactly this equivalence. Also
+// covers the bitmap crossover and the ShardArena reset() chunk-reuse
+// semantics the compressed-pool build depends on.
 #include "rrr/pool_view.hpp"
 
 #include <gtest/gtest.h>
@@ -25,16 +26,16 @@ namespace {
 /// Builds a SegmentedPool holding the same member lists as the reference
 /// pool, staged through `workers` round-robin arenas — the layout the
 /// sharded sampler produces, minus the threads. With `bitmaps`, the
-/// reference's bitmap sets are staged as bitmap runs; otherwise every
+/// reference's bitmap runs are staged as bitmap runs; otherwise every
 /// set is a sorted run.
-SegmentedPool segment_pool(const RRRPool& reference, std::size_t workers,
-                           bool bitmaps = false) {
+SegmentedPool segment_pool(const SegmentedPool& reference,
+                           std::size_t workers, bool bitmaps = false) {
   const VertexId n = reference.num_vertices();
   SegmentedPool segments(n);
   segments.resize(reference.size());
   segments.ensure_workers(workers);
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    const std::vector<VertexId> sorted = reference[i].to_vector();
+    const std::vector<VertexId> sorted = testing::members_of(reference[i]);
     ShardArena& arena = segments.arena(i % workers);
     if (bitmaps && reference[i].repr() == RRRRepr::kBitmap) {
       const std::span<std::uint64_t> words =
@@ -50,11 +51,14 @@ SegmentedPool segment_pool(const RRRPool& reference, std::size_t workers,
   return segments;
 }
 
-RRRPool sampled_pool(bool adaptive, std::size_t count = 300) {
+/// Sampled IC pool; with `adaptive`, sets at or above the bitmap
+/// crossover are bitmap runs.
+SegmentedPool sampled_pool(bool adaptive, std::size_t count = 300) {
   const DiffusionGraph g = testing::make_weighted_graph(
       gen_erdos_renyi(400, 2500, 17), DiffusionModel::kIndependentCascade);
-  return testing::sample_pool(g, DiffusionModel::kIndependentCascade, count,
-                              0xFEED, adaptive);
+  return testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, count, 0xFEED,
+      adaptive ? bitmap_cutoff(g.num_vertices()) : testing::kRunsOnly);
 }
 
 void expect_views_identical(const RRRPoolView& a, const RRRPoolView& b) {
@@ -83,55 +87,60 @@ void expect_views_identical(const RRRPoolView& a, const RRRPoolView& b) {
   EXPECT_EQ(fa.vertices, fb.vertices);
 }
 
-TEST(RRRPoolView, SegmentBackingMatchesLegacyPoolSlotBySlot) {
-  const RRRPool pool = sampled_pool(/*adaptive=*/false);
+TEST(RRRPoolView, SegmentsAcrossArenasMatchOneArenaPoolSlotBySlot) {
+  const SegmentedPool pool = sampled_pool(/*adaptive=*/false);
   const SegmentedPool segments = segment_pool(pool, 3);
   expect_views_identical(RRRPoolView(pool), RRRPoolView(segments));
 }
 
 TEST(RRRPoolView, SegmentBackingMatchesAdaptivePoolWithBitmaps) {
-  // Adaptive pools hold bitmap sets; the segment backing holds sorted
-  // runs — the view must erase the representation difference entirely.
-  const RRRPool pool = sampled_pool(/*adaptive=*/true);
+  // The adaptive pool holds bitmap runs; the segment backing holds
+  // sorted runs only — the view must erase the representation
+  // difference entirely.
+  const SegmentedPool pool = sampled_pool(/*adaptive=*/true);
   ASSERT_GT(pool.bitmap_count(), 0u)
       << "workload did not produce bitmap sets; raise density";
   const SegmentedPool segments = segment_pool(pool, 4);
-  const RRRPoolView legacy(pool);
-  const RRRPoolView zero_copy(segments);
-  expect_views_identical(legacy, zero_copy);
-  EXPECT_EQ(legacy.bitmap_count(), pool.bitmap_count());
-  EXPECT_EQ(zero_copy.bitmap_count(), 0u);  // runs are always vectors
-  EXPECT_TRUE(zero_copy.segmented());
-  EXPECT_FALSE(legacy.segmented());
+  const RRRPoolView adaptive(pool);
+  const RRRPoolView runs(segments);
+  expect_views_identical(adaptive, runs);
+  EXPECT_EQ(adaptive.bitmap_count(), pool.bitmap_count());
+  EXPECT_EQ(runs.bitmap_count(), 0u);
+  EXPECT_TRUE(runs.segmented());
+  EXPECT_FALSE(runs.compressed());
 }
 
 TEST(RRRPoolView, BitmapRunsMatchAdaptivePoolBitmaps) {
-  // Bitmap runs are the arena form of RRRSet's bitmaps: same slots,
-  // same bitmap count, same flattened image.
-  const RRRPool pool = sampled_pool(/*adaptive=*/true);
+  // Bitmap runs staged across several arenas: same slots, same
+  // representations, same bitmap count, same flattened image.
+  const SegmentedPool pool = sampled_pool(/*adaptive=*/true);
   ASSERT_GT(pool.bitmap_count(), 0u);
   ASSERT_LT(pool.bitmap_count(), pool.size());
   const SegmentedPool segments = segment_pool(pool, 3, /*bitmaps=*/true);
-  const RRRPoolView legacy(pool);
-  const RRRPoolView zero_copy(segments);
-  expect_views_identical(legacy, zero_copy);
-  EXPECT_EQ(zero_copy.bitmap_count(), pool.bitmap_count());
+  const RRRPoolView spread(segments);
+  expect_views_identical(RRRPoolView(pool), spread);
+  EXPECT_EQ(spread.bitmap_count(), pool.bitmap_count());
+  const std::size_t cutoff = bitmap_cutoff(pool.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(zero_copy[i].repr(), pool[i].repr()) << "slot " << i;
+    EXPECT_EQ(spread[i].repr(), pool[i].repr()) << "slot " << i;
+    EXPECT_EQ(pool[i].repr() == RRRRepr::kBitmap, pool[i].size() >= cutoff)
+        << "slot " << i;
   }
   for (std::size_t i = 0; i < pool.size(); ++i) {
     for (VertexId v = 0; v < pool.num_vertices(); v += 3) {
-      EXPECT_EQ(zero_copy[i].contains(v), pool[i].contains(v))
+      EXPECT_EQ(spread[i].contains(v), pool[i].contains(v))
           << "slot " << i << " vertex " << v;
     }
   }
 }
 
 TEST(RRRPoolView, ContainsRejectsNonMembersOnBothBackings) {
-  const RRRPool pool = sampled_pool(/*adaptive=*/false, 50);
-  const SegmentedPool segments = segment_pool(pool, 2);
+  const SegmentedPool pool = sampled_pool(/*adaptive=*/true, 50);
+  CompressedPool comp(pool.num_vertices());
+  comp.append(RRRPoolView(pool), 0, pool.size());
   const RRRPoolView a(pool);
-  const RRRPoolView b(segments);
+  const RRRPoolView b(comp);
+  ASSERT_TRUE(b.compressed());
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (VertexId v = 0; v < a.num_vertices(); v += 7) {
       EXPECT_EQ(a[i].contains(v), b[i].contains(v))
@@ -140,12 +149,28 @@ TEST(RRRPoolView, ContainsRejectsNonMembersOnBothBackings) {
   }
 }
 
+TEST(RRRPoolView, BitmapCutoffIsOneThirtySecondOfTheVertexCount) {
+  // Where a bitmap (1 bit per vertex) gets smaller than 4-byte ids.
+  EXPECT_EQ(bitmap_cutoff(0), 0u);
+  EXPECT_EQ(bitmap_cutoff(31), 0u);
+  EXPECT_EQ(bitmap_cutoff(32), 1u);
+  EXPECT_EQ(bitmap_cutoff(640), 20u);
+  // 3 of 1000 vertices stay a sorted run; 100 cross to a bitmap run.
+  EXPECT_EQ(bitmap_cutoff(1000), 31u);
+  std::vector<VertexId> dense(100);
+  std::iota(dense.begin(), dense.end(), 0);
+  const SegmentedPool pool =
+      testing::make_pool(1000, {{1, 2, 3}, dense}, bitmap_cutoff(1000));
+  EXPECT_EQ(pool[0].repr(), RRRRepr::kVector);
+  EXPECT_EQ(pool[1].repr(), RRRRepr::kBitmap);
+}
+
 TEST(RRRSetView, VerticesSpanMatchesSetVectorRepresentation) {
-  const RRRSet set = RRRSet::make_vector({5, 1, 9, 3});
-  const RRRSetView view(set);
+  const SegmentedPool pool = testing::make_pool(10, {{5, 1, 9, 3}});
+  const RRRSetView view = pool[0];
   EXPECT_EQ(view.repr(), RRRRepr::kVector);
   ASSERT_EQ(view.vertices().size(), 4u);
-  EXPECT_EQ(view.vertices()[0], 1u);  // make_vector sorts
+  EXPECT_EQ(view.vertices()[0], 1u);  // make_pool sorts
   EXPECT_EQ(view.vertices()[3], 9u);
 
   const std::vector<VertexId> run = {1, 3, 5, 9};
@@ -154,6 +179,17 @@ TEST(RRRSetView, VerticesSpanMatchesSetVectorRepresentation) {
   EXPECT_EQ(run_view.size(), 4u);
   EXPECT_TRUE(std::equal(run_view.vertices().begin(),
                          run_view.vertices().end(), view.vertices().begin()));
+}
+
+TEST(RRRSetView, DefaultIsAnEmptySortedRun) {
+  const RRRSetView view;
+  EXPECT_EQ(view.repr(), RRRRepr::kVector);
+  EXPECT_TRUE(view.empty());
+  EXPECT_TRUE(view.vertices().empty());
+  EXPECT_FALSE(view.contains(0));
+  std::size_t visited = 0;
+  view.for_each([&](VertexId) { ++visited; });
+  EXPECT_EQ(visited, 0u);
 }
 
 TEST(RRRSetView, BitmapRunMembershipAtWordEdges) {
@@ -262,11 +298,11 @@ TEST(ShardArena, ResetKeepsOversizedChunksUsable) {
 }
 
 TEST(SegmentedPool, TracksStagedAndMappedBytesAcrossWorkers) {
-  const RRRPool pool = sampled_pool(/*adaptive=*/false, 60);
+  const SegmentedPool pool = sampled_pool(/*adaptive=*/false, 60);
   const SegmentedPool segments = segment_pool(pool, 3);
   EXPECT_EQ(segments.num_workers(), 3u);
   EXPECT_EQ(segments.staged_bytes(),
-            pool.total_vertices() * sizeof(VertexId));
+            RRRPoolView(pool).total_vertices() * sizeof(VertexId));
   EXPECT_GE(segments.mapped_bytes(), segments.staged_bytes());
 }
 

@@ -43,10 +43,12 @@ void expect_matches_serial(const DiffusionGraph& g, const ShardedConfig& config,
   pool.resize(count);
   sampler.generate(pool, 0, count, nullptr);
 
-  const RRRPool reference = testing::sample_pool(
-      g, config.model, count, 0xABCD, config.adaptive_representation);
+  const SegmentedPool reference = testing::sample_pool(
+      g, config.model, count, 0xABCD,
+      config.adaptive_representation ? bitmap_cutoff(g.num_vertices())
+                                     : testing::kRunsOnly);
   const FlatPool a = RRRPoolView(pool).flatten();
-  const FlatPool b = reference.flatten();
+  const FlatPool b = RRRPoolView(reference).flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
   for (std::size_t i = 0; i < count; ++i) {
@@ -61,7 +63,7 @@ void expect_matches_serial(const DiffusionGraph& g, DiffusionModel model,
 
 /// Arena bytes a pool of `reference`'s sets stages: bitmap words for
 /// bitmap sets, 4-byte ids for sorted runs.
-std::uint64_t staged_payload_bytes(const RRRPool& reference) {
+std::uint64_t staged_payload_bytes(const SegmentedPool& reference) {
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
     bytes += reference[i].repr() == RRRRepr::kBitmap
@@ -235,8 +237,8 @@ TEST(ShardedSampler, AdaptiveStagesDenseSetsAsBitmapRuns) {
   pool.resize(kSets);
   sampler.generate(pool, 0, kSets, nullptr);
 
-  const RRRPool reference =
-      testing::sample_pool(g, model, kSets, 0xABCD, /*adaptive=*/false);
+  const SegmentedPool reference =
+      testing::sample_pool(g, model, kSets, 0xABCD);
   const std::size_t cutoff = bitmap_cutoff(g.num_vertices());
   std::size_t dense = 0;
   for (std::size_t i = 0; i < kSets; ++i) {
@@ -342,10 +344,10 @@ TEST(ShardedSampler, ZeroCopyGenerateMatchesSerialReference) {
   segments.resize(kSets);
   sampler.generate(segments, 0, kSets, nullptr);
 
-  const RRRPool reference =
-      testing::sample_pool(g, model, kSets, 0xABCD, /*adaptive=*/true);
+  const SegmentedPool reference = testing::sample_pool(
+      g, model, kSets, 0xABCD, bitmap_cutoff(g.num_vertices()));
   const FlatPool a = RRRPoolView(segments).flatten();
-  const FlatPool b = reference.flatten();
+  const FlatPool b = RRRPoolView(reference).flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 
@@ -367,10 +369,10 @@ TEST(ShardedSampler, ZeroCopyGrowingRangesRetainEarlierRounds) {
   segments.resize(200);
   sampler.generate(segments, 50, 200, nullptr);
 
-  const RRRPool reference =
-      testing::sample_pool(g, model, 200, 0xABCD, /*adaptive=*/true);
+  const SegmentedPool reference = testing::sample_pool(
+      g, model, 200, 0xABCD, bitmap_cutoff(g.num_vertices()));
   const FlatPool grown = RRRPoolView(segments).flatten();
-  const FlatPool whole = reference.flatten();
+  const FlatPool whole = RRRPoolView(reference).flatten();
   EXPECT_EQ(grown.offsets, whole.offsets);
   EXPECT_EQ(grown.vertices, whole.vertices);
   // Round 1's slots are a prefix of the final image, untouched.
@@ -424,12 +426,12 @@ TEST(ShardedSampler, ResetArenasReusesChunksAcrossRounds) {
   // Similar round volume → the reused chunks absorb it without mapping
   // a fresh arena set (chunk granularity is far above these payloads).
   EXPECT_EQ(round2.mapped_bytes, round1.mapped_bytes);
-  const RRRPool reference = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 200, 0xABCD, /*adaptive=*/true);
+  const SegmentedPool reference = testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, 200, 0xABCD,
+      bitmap_cutoff(g.num_vertices()));
   for (std::size_t i = 100; i < 200; ++i) {
-    std::vector<VertexId> members;
-    pool[i].for_each([&](VertexId v) { members.push_back(v); });
-    EXPECT_EQ(members, reference[i].to_vector()) << "slot " << i;
+    EXPECT_EQ(testing::members_of(pool[i]), testing::members_of(reference[i]))
+        << "slot " << i;
   }
 }
 

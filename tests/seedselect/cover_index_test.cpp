@@ -21,6 +21,7 @@
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
 #include "support/macros.hpp"
+#include "test_util.hpp"
 
 namespace eimm {
 namespace {
@@ -42,54 +43,74 @@ std::vector<VertexId> random_members(std::mt19937& rng, std::size_t size,
   return {members.begin(), members.end()};
 }
 
-/// Sets of size cutoff−1, cutoff and cutoff+1 as sorted vectors, bitmap
-/// sets well above the cutoff, and one-member sets; the hub sits in
+/// One set of the straddling pool, and whether it is a bitmap run.
+struct StraddlingSet {
+  std::vector<VertexId> members;
+  bool bitmap = false;
+};
+
+/// Sets of size cutoff−1, cutoff and cutoff+1 as sorted runs, bitmap
+/// runs well above the cutoff, and one-member sets; the hub sits in
 /// about 60 % of them.
-RRRPool straddling_pool() {
+std::vector<StraddlingSet> straddling_sets() {
   const std::size_t cutoff = bitmap_cutoff(kVertices);
   std::mt19937 rng(2024);
   std::bernoulli_distribution hub(0.6);
-  std::vector<RRRSet> sets;
+  std::vector<StraddlingSet> sets;
   for (const std::size_t size : {cutoff - 1, cutoff, cutoff + 1}) {
     for (int i = 0; i < 30; ++i) {
-      sets.push_back(RRRSet::make_vector(random_members(rng, size, hub(rng))));
+      sets.push_back({random_members(rng, size, hub(rng))});
     }
   }
   for (int i = 0; i < 12; ++i) {
-    sets.push_back(
-        RRRSet::make_bitmap(random_members(rng, 2 * cutoff + i, hub(rng)),
-                            kVertices));
+    sets.push_back({random_members(rng, 2 * cutoff + i, hub(rng)), true});
   }
   std::uniform_int_distribution<VertexId> single(0, 60);
   for (int i = 0; i < 150; ++i) {
-    sets.push_back(RRRSet::make_vector({hub(rng) ? kHub : single(rng)}));
+    sets.push_back({{hub(rng) ? kHub : single(rng)}});
   }
   // Interleave so sparse and dense ids mix across the slot range.
   std::shuffle(sets.begin(), sets.end(), rng);
-  RRRPool pool(kVertices);
-  pool.resize(sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i) pool[i] = std::move(sets[i]);
+  return sets;
+}
+
+/// The first `count` straddling sets (all of them by default) over
+/// `n` vertices, in one arena.
+SegmentedPool straddling_pool(
+    std::size_t count = std::numeric_limits<std::size_t>::max(),
+    VertexId n = kVertices) {
+  const std::vector<StraddlingSet> sets = straddling_sets();
+  count = std::min(count, sets.size());
+  SegmentedPool pool(n);
+  pool.resize(count);
+  pool.ensure_workers(1);
+  for (std::size_t i = 0; i < count; ++i) {
+    testing::store_set(pool, i, sets[i].members,
+                       sets[i].bitmap ? 0 : testing::kRunsOnly);
+  }
   return pool;
 }
 
-SegmentedPool segment(const RRRPool& pool) {
+/// The same sets, every one a sorted run, spread over three arenas.
+SegmentedPool segment(const RRRPoolView& pool) {
   SegmentedPool segments(pool.num_vertices());
   segments.resize(pool.size());
   segments.ensure_workers(3);
   for (std::size_t i = 0; i < pool.size(); ++i) {
     ShardArena& arena = segments.arena(i % 3);
-    segments.set_run(i, arena.view(arena.append(pool[i].to_vector())));
+    segments.set_run(
+        i, arena.view(arena.append(testing::members_of(pool[i]))));
   }
   return segments;
 }
 
-CompressedPool compress(const RRRPool& pool) {
+CompressedPool compress(const RRRPoolView& pool) {
   CompressedPool comp(pool.num_vertices());
-  comp.append(RRRPoolView(pool), 0, pool.size());
+  comp.append(pool, 0, pool.size());
   return comp;
 }
 
-CounterArray prebuilt_counters(const RRRPool& pool) {
+CounterArray prebuilt_counters(const RRRPoolView& pool) {
   CounterArray counters(pool.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     pool[i].for_each([&](VertexId v) { counters.increment(v); });
@@ -110,16 +131,19 @@ void expect_same(const SelectionResult& got, const Expected& want,
   EXPECT_EQ(got.covered_sets, want.covered) << what;
 }
 
-/// Runs the efficient kernel over every backing and both counter
-/// layouts and checks each against `want`. Returns the rebuild rounds
-/// the flat legacy run took (identical on every run by construction).
-std::uint32_t check_all_backings(const RRRPool& pool,
+/// Runs the efficient kernel over every backing — the pool itself, its
+/// sets as sorted runs over three arenas, and its compressed form — and
+/// both counter layouts, and checks each against `want`. Returns the
+/// rebuild rounds the flat run over `pool` took (identical on every run
+/// by construction).
+std::uint32_t check_all_backings(const SegmentedPool& pool,
                                  const SelectionOptions& options,
                                  const Expected& want, bool prebuilt) {
   const SegmentedPool segments = segment(pool);
   const CompressedPool comp = compress(pool);
   const CounterArray base = prebuilt_counters(pool);
   std::uint32_t rebuilds = 0;
+  bool first = true;
   for (const RRRPoolView view :
        {RRRPoolView(pool), RRRPoolView(segments), RRRPoolView(comp)}) {
     SelectionOptions opt = options;
@@ -131,7 +155,8 @@ std::uint32_t check_all_backings(const RRRPool& pool,
     }
     const SelectionResult f = efficient_select_t<NullMem>(view, flat, opt);
     expect_same(f, want, "flat counters");
-    if (!view.segmented() && !view.compressed()) rebuilds = f.rebuild_rounds;
+    if (first) rebuilds = f.rebuild_rounds;
+    first = false;
 
     ShardedCounterArray sharded(pool.num_vertices(), 3);
     if (prebuilt) sharded.load_base(base);
@@ -151,7 +176,7 @@ Expected from(const QueryResult& r) {
 }
 
 TEST(CoverIndex, SplitsAtTheBitmapCrossover) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   const std::size_t cutoff = bitmap_cutoff(kVertices);
   CoverIndex index;
   detail::build_cover_index<NullMem>(RRRPoolView(pool), index);
@@ -181,7 +206,7 @@ TEST(CoverIndex, SplitsAtTheBitmapCrossover) {
 }
 
 TEST(CoverIndex, CompressedPoolsIndexNothing) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   const CompressedPool comp = compress(pool);
   CoverIndex index;
   detail::build_cover_index<NullMem>(RRRPoolView(comp), index);
@@ -192,24 +217,24 @@ TEST(CoverIndex, CompressedPoolsIndexNothing) {
 }
 
 TEST(CoverIndex, SegmentedRunsAboveTheCutoffStayOnTheScanList) {
-  // Segmented pools hold every set as a sorted run, bitmaps included:
+  // Here every set is a sorted run, the former bitmap runs included:
   // the split goes by size, so the large runs are still scanned.
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   const SegmentedPool segments = segment(pool);
-  CoverIndex from_pool;
-  CoverIndex from_segments;
-  detail::build_cover_index<NullMem>(RRRPoolView(pool), from_pool);
-  detail::build_cover_index<NullMem>(RRRPoolView(segments), from_segments);
-  EXPECT_EQ(from_segments.scan, from_pool.scan);
-  EXPECT_EQ(from_segments.offsets, from_pool.offsets);
+  CoverIndex mixed;
+  CoverIndex runs;
+  detail::build_cover_index<NullMem>(RRRPoolView(pool), mixed);
+  detail::build_cover_index<NullMem>(RRRPoolView(segments), runs);
+  EXPECT_EQ(runs.scan, mixed.scan);
+  EXPECT_EQ(runs.offsets, mixed.offsets);
 }
 
 TEST(CoverIndex, AdaptiveUpdateMatchesRipplesAndStoreOnEveryBacking) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   SelectionOptions options;
   options.k = 12;
   const Expected ripples = from(ripples_select_t<NullMem>(pool, options));
-  const SketchStore store = SketchStore::from_pool(pool, options.k);
+  const SketchStore store = testing::freeze(straddling_pool(), options.k);
   QueryOptions query;
   query.k = options.k;
   const Expected served = from(select_from_store(store, query));
@@ -227,7 +252,7 @@ TEST(CoverIndex, AdaptiveUpdateMatchesRipplesAndStoreOnEveryBacking) {
 }
 
 TEST(CoverIndex, AlwaysDecrementMatchesRipples) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   SelectionOptions options;
   options.k = 12;
   options.adaptive_update = false;
@@ -236,7 +261,7 @@ TEST(CoverIndex, AlwaysDecrementMatchesRipples) {
 }
 
 TEST(CoverIndex, PrebuiltCountersMatchRipples) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   for (const bool adaptive : {true, false}) {
     SelectionOptions options;
     options.k = 12;
@@ -247,12 +272,12 @@ TEST(CoverIndex, PrebuiltCountersMatchRipples) {
 }
 
 TEST(CoverIndex, EligibleMaskMatchesTheStoreBlacklist) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   const std::vector<VertexId> forbidden = {kHub, 0, 3, 11, 25};
   std::vector<std::uint8_t> mask(kVertices, 1);
   for (const VertexId v : forbidden) mask[v] = 0;
 
-  const SketchStore store = SketchStore::from_pool(pool, 10);
+  const SketchStore store = testing::freeze(straddling_pool(), 10);
   QueryOptions query;
   query.k = 10;
   query.forbidden = forbidden;
@@ -271,10 +296,8 @@ TEST(CoverIndex, EligibleMaskMatchesTheStoreBlacklist) {
 TEST(CoverIndex, ReusedWorkspaceMatchesAFreshIndex) {
   // The workspace keeps the index buffers across calls; a call over a
   // smaller pool after a larger one must not see stale entries.
-  const RRRPool pool = straddling_pool();
-  RRRPool half(kVertices);
-  half.resize(pool.size() / 2);
-  for (std::size_t i = 0; i < half.size(); ++i) half[i] = pool[i];
+  const SegmentedPool pool = straddling_pool();
+  const SegmentedPool half = straddling_pool(pool.size() / 2);
 
   SelectionEngineConfig config;
   config.counter_shards = 1;
@@ -288,13 +311,6 @@ TEST(CoverIndex, ReusedWorkspaceMatchesAFreshIndex) {
       engine.select(SelectionKernel::kEfficient, half, options, nullptr, &ws);
   const Expected ripples = from(ripples_select_t<NullMem>(half, options));
   expect_same(reused, ripples, "reused workspace");
-}
-
-RRRPool prefix_of(const RRRPool& pool, std::size_t count) {
-  RRRPool prefix(pool.num_vertices());
-  prefix.resize(count);
-  for (std::size_t i = 0; i < count; ++i) prefix[i] = pool[i];
-  return prefix;
 }
 
 /// Same slots, same scan list, and each vertex's run holding the same
@@ -326,13 +342,13 @@ void expect_same_index(const CoverIndex& got, const CoverIndex& want,
 constexpr std::size_t kSteps[] = {1, 40, 40, 41, 120, 200};
 
 TEST(CoverIndex, IndexGrownInStepsEqualsAFreshIndex) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   std::vector<std::size_t> steps(std::begin(kSteps), std::end(kSteps));
   steps.push_back(pool.size());
   for (const bool segmented : {false, true}) {
     CoverIndex grown;
     for (const std::size_t count : steps) {
-      const RRRPool prefix = prefix_of(pool, count);
+      const SegmentedPool prefix = straddling_pool(count);
       const SegmentedPool segments = segment(prefix);
       const RRRPoolView view =
           segmented ? RRRPoolView(segments) : RRRPoolView(prefix);
@@ -340,14 +356,14 @@ TEST(CoverIndex, IndexGrownInStepsEqualsAFreshIndex) {
       CoverIndex fresh;
       detail::build_cover_index<NullMem>(view, fresh);
       expect_same_index(grown, fresh,
-                        std::string(segmented ? "segmented" : "pool") +
+                        std::string(segmented ? "runs" : "pool") +
                             " at " + std::to_string(count) + " sets");
     }
   }
 }
 
 TEST(CoverIndex, BoundWorkspaceSelectsLikeAFreshIndexAsThePoolGrows) {
-  const RRRPool pool = straddling_pool();
+  const SegmentedPool pool = straddling_pool();
   std::vector<std::size_t> steps(std::begin(kSteps), std::end(kSteps));
   steps.push_back(pool.size());
   for (const int shards : {1, 3}) {
@@ -360,7 +376,7 @@ TEST(CoverIndex, BoundWorkspaceSelectsLikeAFreshIndexAsThePoolGrows) {
     SelectionWorkspace ws;
     ws.bind_append_only();
     for (const std::size_t count : steps) {
-      const RRRPool prefix = prefix_of(pool, count);
+      const SegmentedPool prefix = straddling_pool(count);
       const std::string what = "shards " + std::to_string(shards) + " at " +
                                std::to_string(count) + " sets";
       const SelectionResult bound = engine.select(
@@ -376,8 +392,8 @@ TEST(CoverIndex, BoundWorkspaceSelectsLikeAFreshIndexAsThePoolGrows) {
 }
 
 TEST(CoverIndex, BoundWorkspaceRejectsAPoolOfTheWrongShape) {
-  const RRRPool pool = straddling_pool();
-  const RRRPool half = prefix_of(pool, pool.size() / 2);
+  const SegmentedPool pool = straddling_pool();
+  const SegmentedPool half = straddling_pool(pool.size() / 2);
   SelectionEngineConfig config;
   config.counter_shards = 1;
   config.pin = PinMode::kNone;
@@ -396,9 +412,7 @@ TEST(CoverIndex, BoundWorkspaceRejectsAPoolOfTheWrongShape) {
   SelectionWorkspace other;
   other.bind_append_only();
   engine.select(SelectionKernel::kEfficient, half, options, nullptr, &other);
-  RRRPool wider(kVertices + 1);
-  wider.resize(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) wider[i] = pool[i];
+  const SegmentedPool wider = straddling_pool(pool.size(), kVertices + 1);
   EXPECT_THROW(engine.select(SelectionKernel::kEfficient, wider, options,
                              nullptr, &other),
                CheckError);
@@ -411,29 +425,15 @@ TEST(CoverIndex, BoundWorkspaceRejectsAPoolOfTheWrongShape) {
                                 nullptr, &unbound));
 }
 
-/// A pool that claims more sets than a 32-bit set id can name. The
-/// kernel must refuse it before touching any slot.
-struct OversizedPool {
-  std::size_t count;
-  [[nodiscard]] std::size_t size() const noexcept { return count; }
-  [[nodiscard]] VertexId num_vertices() const noexcept { return 4; }
-  const RRRSet& operator[](std::size_t) const noexcept {
-    static const RRRSet empty;
-    return empty;
-  }
-};
-
 TEST(CoverIndex, SetIdOverflowRaisesCheckError) {
-  CounterArray counters(4);
-  SelectionOptions options;
-  options.k = 1;
+  // The efficient kernel refuses a pool whose slots a 32-bit set id
+  // cannot all name, before touching any slot.
+  EXPECT_NO_THROW(detail::check_set_ids(
+      std::size_t{std::numeric_limits<SketchId>::max()} - 1));
   for (const std::size_t count :
        {std::size_t{std::numeric_limits<SketchId>::max()},
         std::size_t{std::numeric_limits<SketchId>::max()} + 1}) {
-    EXPECT_THROW(efficient_select_t<NullMem>(OversizedPool{count}, counters,
-                                             options),
-                 CheckError)
-        << count;
+    EXPECT_THROW(detail::check_set_ids(count), CheckError) << count;
   }
 }
 

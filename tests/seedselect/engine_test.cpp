@@ -15,11 +15,11 @@
 namespace eimm {
 namespace {
 
-RRRPool make_pool(std::size_t sets = 250) {
+SegmentedPool make_pool(std::size_t sets = 250) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.02, 17);
   return testing::sample_pool(g, DiffusionModel::kIndependentCascade,
-                              sets, 777, /*adaptive=*/true);
+                              sets, 777, bitmap_cutoff(g.num_vertices()));
 }
 
 TEST(SelectionEngine, ResolvesExplicitShardAndPinConfig) {
@@ -32,7 +32,7 @@ TEST(SelectionEngine, ResolvesExplicitShardAndPinConfig) {
 }
 
 TEST(SelectionEngine, MatchesLegacyKernelForEveryShardCount) {
-  const RRRPool pool = make_pool();
+  const SegmentedPool pool = make_pool();
   SelectionOptions options;
   options.k = 10;
 
@@ -55,7 +55,7 @@ TEST(SelectionEngine, MatchesLegacyKernelForEveryShardCount) {
 }
 
 TEST(SelectionEngine, PinModeNeverChangesTheSeeds) {
-  const RRRPool pool = make_pool();
+  const SegmentedPool pool = make_pool();
   SelectionOptions options;
   options.k = 8;
 
@@ -77,7 +77,7 @@ TEST(SelectionEngine, PinModeNeverChangesTheSeeds) {
 }
 
 TEST(SelectionEngine, RipplesKernelRoutesThrough) {
-  const RRRPool pool = make_pool();
+  const SegmentedPool pool = make_pool();
   SelectionOptions options;
   options.k = 6;
   const auto legacy = ripples_select(pool, options);
@@ -93,7 +93,7 @@ TEST(SelectionEngine, RipplesKernelRoutesThrough) {
 TEST(SelectionEngine, PrebuiltBaseSkipsTheInitialBuild) {
   // Build the fused base by hand, then check the engine's prebuilt path
   // matches a from-scratch selection for both counter layouts.
-  const RRRPool pool = make_pool();
+  const SegmentedPool pool = make_pool();
   CounterArray base(pool.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     pool[i].for_each([&](VertexId v) { base.increment(v); });
@@ -126,13 +126,13 @@ TEST(SelectionEngine, StoreKernelMatchesPoolKernel) {
   // An unconstrained store query must reproduce the pool kernel's seed
   // sequence — the engine owns both, so this locks their tie-breaks
   // together.
-  const RRRPool pool = make_pool(300);
+  const SegmentedPool pool = make_pool(300);
   SelectionOptions options;
   options.k = 8;
   CounterArray counters(pool.num_vertices());
   const auto direct = efficient_select(pool, counters, options);
 
-  const SketchStore store = SketchStore::from_pool(pool, 8, {});
+  const SketchStore store = testing::freeze(make_pool(300), 8);
   QueryOptions query;
   query.k = 8;
   const SelectionEngine engine;
@@ -146,8 +146,7 @@ TEST(SelectionEngine, StoreKernelMatchesPoolKernel) {
 }
 
 TEST(SelectionEngine, StoreKernelValidatesArguments) {
-  const RRRPool pool = make_pool(50);
-  const SketchStore store = SketchStore::from_pool(pool, 4, {});
+  const SketchStore store = testing::freeze(make_pool(50), 4);
   const SelectionEngine engine;
   QueryOptions query;
   query.k = 0;

@@ -30,8 +30,10 @@ TEST_P(KernelEquivalence, SameSeedsSameCoverage) {
   const auto& param = GetParam();
   const DiffusionGraph g = make_workload_with_weights(
       param.workload, param.model, /*scale=*/0.02, /*seed=*/11);
-  const RRRPool pool = testing::sample_pool(g, param.model, 200, 123,
-                                            param.adaptive_repr);
+  const SegmentedPool pool = testing::sample_pool(
+      g, param.model, 200, 123,
+      param.adaptive_repr ? bitmap_cutoff(g.num_vertices())
+                          : testing::kRunsOnly);
 
   ThreadCountScope scope(param.threads);
   SelectionOptions options;
@@ -90,7 +92,7 @@ class ThreadInvariance : public ::testing::TestWithParam<int> {};
 TEST_P(ThreadInvariance, EfficientSelectIsThreadCountInvariant) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-YouTube", DiffusionModel::kIndependentCascade, 0.02, 3);
-  const RRRPool pool =
+  const SegmentedPool pool =
       testing::sample_pool(g, DiffusionModel::kIndependentCascade, 300, 9);
 
   SelectionOptions options;

@@ -12,26 +12,36 @@
 namespace eimm {
 namespace {
 
-RRRPool pool_with_threshold(double threshold) {
-  const DiffusionGraph g = make_workload_with_weights(
+const DiffusionGraph& sweep_graph() {
+  static const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.02, 31);
-  RRRPool pool(g.num_vertices());
-  pool.resize(250);
-  SamplerScratch scratch(g.num_vertices());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    auto verts = sample_rrr(g.reverse, DiffusionModel::kIndependentCascade,
-                            555, i, scratch);
-    pool[i] = RRRSet::make_adaptive(std::move(verts), g.num_vertices(),
-                                    threshold);
-  }
-  return pool;
+  return g;
 }
 
+/// 250 sampled IC sets; those of at least `cutoff` members are bitmap
+/// runs.
+SegmentedPool pool_with_cutoff(std::size_t cutoff) {
+  return testing::sample_pool(sweep_graph(),
+                              DiffusionModel::kIndependentCascade, 250, 555,
+                              cutoff);
+}
+
+/// The pool at the production bitmap crossover.
+SegmentedPool adaptive_pool() {
+  return pool_with_cutoff(bitmap_cutoff(sweep_graph().num_vertices()));
+}
+
+/// Bitmap crossover as a fraction of |V|.
 class BitmapThresholdSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(BitmapThresholdSweep, SelectionInvariantUnderRepresentation) {
-  const RRRPool reference_pool = pool_with_threshold(1.0);  // all vectors
-  const RRRPool pool = pool_with_threshold(GetParam());
+  const SegmentedPool reference_pool = pool_with_cutoff(testing::kRunsOnly);
+  const auto cutoff = static_cast<std::size_t>(
+      GetParam() * static_cast<double>(reference_pool.num_vertices()));
+  const SegmentedPool pool = pool_with_cutoff(cutoff);
+  if (GetParam() == 0.0) {
+    ASSERT_EQ(pool.bitmap_count(), pool.size());
+  }
 
   SelectionOptions options;
   options.k = 10;
@@ -51,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, BitmapThresholdSweep,
 class BatchSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchSizeSweep, SelectionInvariantUnderBatching) {
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions reference_options;
   reference_options.k = 8;
   reference_options.dynamic_balance = false;
@@ -72,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(Batches, BatchSizeSweep,
                          ::testing::Values(1, 3, 16, 64, 1024));
 
 TEST(SelectionProperties, CoveredSetsMatchesIndependentUnionCount) {
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 12;
   CounterArray counters(pool.num_vertices());
@@ -93,7 +103,7 @@ TEST(SelectionProperties, CoveredSetsMatchesIndependentUnionCount) {
 }
 
 TEST(SelectionProperties, SumOfMarginalsEqualsCoveredSets) {
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 12;
   CounterArray counters(pool.num_vertices());
@@ -104,7 +114,7 @@ TEST(SelectionProperties, SumOfMarginalsEqualsCoveredSets) {
 }
 
 TEST(SelectionProperties, SeedsAreDistinct) {
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 20;
   CounterArray counters(pool.num_vertices());
@@ -114,7 +124,7 @@ TEST(SelectionProperties, SeedsAreDistinct) {
 }
 
 TEST(SelectionProperties, LargerKNeverCoversLess) {
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   std::uint64_t previous = 0;
   for (const std::size_t k : {1ul, 2ul, 4ul, 8ul, 16ul}) {
     SelectionOptions options;
@@ -132,7 +142,7 @@ TEST_P(CounterShardSweep, SelectionInvariantUnderCounterSharding) {
   // The sharded counter layout moves WHERE counter updates land, never
   // what the greedy picks: every shard count must reproduce the flat
   // kernel's seeds, marginals, and coverage bit for bit.
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 10;
   CounterArray flat(pool.num_vertices());
@@ -154,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, CounterShardSweep,
 TEST(SelectionProperties, ShardedCountersHonorEligibilityMask) {
   // Eligibility-masked arg-max over the sharded layout: same constrained
   // seed set as the flat reference, and the masked vertices never appear.
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 8;
   std::vector<std::uint8_t> eligible(pool.num_vertices(), 1);
@@ -186,7 +196,7 @@ TEST(SelectionProperties, ShardedCountersHonorEligibilityMask) {
 TEST(SelectionProperties, ShardedNonAdaptiveDecrementOnlyPathMatches) {
   // The decrement-only ablation (adaptive_update = false) exercises the
   // cross-replica decrement wrap-around on every round.
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions options;
   options.k = 10;
   options.adaptive_update = false;
@@ -204,7 +214,7 @@ TEST(SelectionProperties, ShardedNonAdaptiveDecrementOnlyPathMatches) {
 TEST(SelectionProperties, GreedyPrefixProperty) {
   // Greedy is prefix-stable: the first j seeds of a k-seed run equal the
   // full output of a j-seed run.
-  const RRRPool pool = pool_with_threshold(kDefaultBitmapThreshold);
+  const SegmentedPool pool = adaptive_pool();
   SelectionOptions big;
   big.k = 12;
   CounterArray a(pool.num_vertices());

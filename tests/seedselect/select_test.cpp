@@ -14,13 +14,14 @@ using testing::make_pool;
 
 // The worked example from Fig. 3 of the paper:
 // sets {0,1},{1},{2,4},{1,4},{1,4,5},{3},{0,3},{2} over 6 vertices.
-RRRPool fig3_pool() {
+SegmentedPool fig3_pool() {
   return make_pool(6, {{0, 1}, {1}, {2, 4}, {1, 4}, {1, 4, 5}, {3}, {0, 3},
                        {2}});
 }
 
 // Reference: serial greedy max-coverage with lowest-id tie-break.
-std::vector<VertexId> reference_greedy(const RRRPool& pool, std::size_t k) {
+std::vector<VertexId> reference_greedy(const RRRPoolView& pool,
+                                       std::size_t k) {
   const VertexId n = pool.num_vertices();
   std::vector<bool> alive(pool.size(), true);
   std::vector<VertexId> seeds;
@@ -43,14 +44,15 @@ std::vector<VertexId> reference_greedy(const RRRPool& pool, std::size_t k) {
   return seeds;
 }
 
-SelectionResult run_efficient(const RRRPool& pool, SelectionOptions options) {
+SelectionResult run_efficient(const RRRPoolView& pool,
+                              SelectionOptions options) {
   CounterArray counters(pool.num_vertices());
   return efficient_select(pool, counters, options);
 }
 
 TEST(EfficientSelect, Fig3FirstSeedIsVertex1) {
   // Vertex 1 appears in {0,1},{1},{1,4},{1,4,5} -> count 4, the maximum.
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   SelectionOptions options;
   options.k = 1;
   const auto result = run_efficient(pool, options);
@@ -61,7 +63,7 @@ TEST(EfficientSelect, Fig3FirstSeedIsVertex1) {
 }
 
 TEST(EfficientSelect, Fig3FullSelection) {
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   SelectionOptions options;
   options.k = 6;
   const auto result = run_efficient(pool, options);
@@ -74,7 +76,7 @@ TEST(EfficientSelect, Fig3FullSelection) {
 TEST(EfficientSelect, MatchesReferenceGreedyOnRandomPools) {
   auto g = testing::make_weighted_graph(
       gen_erdos_renyi(200, 1000, 13), DiffusionModel::kIndependentCascade);
-  const RRRPool pool = testing::sample_pool(
+  const SegmentedPool pool = testing::sample_pool(
       g, DiffusionModel::kIndependentCascade, 300, 77);
   SelectionOptions options;
   options.k = 10;
@@ -85,7 +87,7 @@ TEST(EfficientSelect, MatchesReferenceGreedyOnRandomPools) {
 TEST(EfficientSelect, AdaptiveOnOffIdenticalSeeds) {
   auto g = testing::make_weighted_graph(
       gen_barabasi_albert(300, 2, 5), DiffusionModel::kIndependentCascade);
-  const RRRPool pool = testing::sample_pool(
+  const SegmentedPool pool = testing::sample_pool(
       g, DiffusionModel::kIndependentCascade, 200, 3);
   SelectionOptions adaptive;
   adaptive.k = 8;
@@ -107,7 +109,7 @@ TEST(EfficientSelect, RebuildTriggersOnSkewedPool) {
     sets.push_back({0, i, static_cast<VertexId>(i + 50)});
   }
   sets.push_back({70});
-  const RRRPool pool = make_pool(200, sets);
+  const SegmentedPool pool = make_pool(200, sets);
   SelectionOptions options;
   options.k = 2;
   options.adaptive_update = true;
@@ -117,7 +119,7 @@ TEST(EfficientSelect, RebuildTriggersOnSkewedPool) {
 }
 
 TEST(EfficientSelect, PrebuiltCountersSkipInitialBuild) {
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   CounterArray counters(pool.num_vertices());
   // Manually build counters (what the fused generation kernel does).
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -136,7 +138,7 @@ TEST(EfficientSelect, PrebuiltCountersSkipInitialBuild) {
 }
 
 TEST(EfficientSelect, DynamicBalanceOnOffIdentical) {
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   SelectionOptions dynamic;
   dynamic.k = 4;
   dynamic.dynamic_balance = true;
@@ -149,7 +151,7 @@ TEST(EfficientSelect, DynamicBalanceOnOffIdentical) {
 TEST(EfficientSelect, MarginalGainsNonIncreasing) {
   auto g = testing::make_weighted_graph(
       gen_erdos_renyi(300, 2000, 17), DiffusionModel::kIndependentCascade);
-  const RRRPool pool = testing::sample_pool(
+  const SegmentedPool pool = testing::sample_pool(
       g, DiffusionModel::kIndependentCascade, 400, 11);
   SelectionOptions options;
   options.k = 15;
@@ -160,7 +162,7 @@ TEST(EfficientSelect, MarginalGainsNonIncreasing) {
 }
 
 TEST(EfficientSelect, StopsWhenEverythingCovered) {
-  const RRRPool pool = make_pool(5, {{0}, {0, 1}});
+  const SegmentedPool pool = make_pool(5, {{0}, {0, 1}});
   SelectionOptions options;
   options.k = 5;
   const auto result = run_efficient(pool, options);
@@ -171,10 +173,11 @@ TEST(EfficientSelect, StopsWhenEverythingCovered) {
 TEST(EfficientSelect, BitmapPoolsSelectIdentically) {
   auto g = testing::make_weighted_graph(
       gen_watts_strogatz(200, 3, 0.1, 3), DiffusionModel::kIndependentCascade);
-  const RRRPool vector_pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 150, 21, /*adaptive=*/false);
-  const RRRPool adaptive_pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 150, 21, /*adaptive=*/true);
+  const SegmentedPool vector_pool = testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, 150, 21);
+  const SegmentedPool adaptive_pool = testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, 150, 21,
+      bitmap_cutoff(g.num_vertices()));
   SelectionOptions options;
   options.k = 6;
   const auto a = run_efficient(vector_pool, options);
@@ -184,7 +187,7 @@ TEST(EfficientSelect, BitmapPoolsSelectIdentically) {
 }
 
 TEST(EfficientSelect, KMustBePositive) {
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   CounterArray counters(pool.num_vertices());
   SelectionOptions options;
   options.k = 0;
@@ -192,7 +195,7 @@ TEST(EfficientSelect, KMustBePositive) {
 }
 
 TEST(RipplesSelect, Fig3MatchesEfficient) {
-  const RRRPool pool = fig3_pool();
+  const SegmentedPool pool = fig3_pool();
   SelectionOptions options;
   options.k = 6;
   const auto baseline = ripples_select(pool, options);
@@ -205,7 +208,7 @@ TEST(RipplesSelect, Fig3MatchesEfficient) {
 TEST(RipplesSelect, MatchesReferenceGreedy) {
   auto g = testing::make_weighted_graph(
       gen_erdos_renyi(150, 900, 19), DiffusionModel::kIndependentCascade);
-  const RRRPool pool = testing::sample_pool(
+  const SegmentedPool pool = testing::sample_pool(
       g, DiffusionModel::kIndependentCascade, 250, 5);
   SelectionOptions options;
   options.k = 7;
@@ -217,8 +220,9 @@ TEST(RipplesSelect, HandlesBitmapSetsToo) {
   // stay correct if fed adaptive pools.
   auto g = testing::make_weighted_graph(
       gen_watts_strogatz(100, 3, 0.1, 23), DiffusionModel::kIndependentCascade);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 100, 31, /*adaptive=*/true);
+  const SegmentedPool pool = testing::sample_pool(
+      g, DiffusionModel::kIndependentCascade, 100, 31,
+      bitmap_cutoff(g.num_vertices()));
   SelectionOptions options;
   options.k = 4;
   EXPECT_EQ(ripples_select(pool, options).seeds, reference_greedy(pool, 4));

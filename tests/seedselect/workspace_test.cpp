@@ -16,10 +16,10 @@
 namespace eimm {
 namespace {
 
-RRRPool pool_of(const DiffusionGraph& g, std::size_t count,
-                std::uint64_t seed) {
+SegmentedPool pool_of(const DiffusionGraph& g, std::size_t count,
+                      std::uint64_t seed) {
   return testing::sample_pool(g, DiffusionModel::kIndependentCascade, count,
-                              seed, /*adaptive=*/true);
+                              seed, bitmap_cutoff(g.num_vertices()));
 }
 
 DiffusionGraph test_graph(std::uint64_t seed = 23) {
@@ -36,7 +36,7 @@ SelectionEngine engine_with(int counter_shards) {
 
 TEST(SelectionWorkspace, AllocatesOnceAcrossRepeatedSelections) {
   const DiffusionGraph g = test_graph();
-  const RRRPool pool = pool_of(g, 250, 0xA11);
+  const SegmentedPool pool = pool_of(g, 250, 0xA11);
   SelectionOptions options;
   options.k = 5;
 
@@ -65,8 +65,8 @@ TEST(SelectionWorkspace, ReusedCountersAreFullyResetBetweenRounds) {
   // over B exactly. Any residue from round A would shift counters and
   // change a seed or marginal.
   const DiffusionGraph g = test_graph(29);
-  const RRRPool pool_a = pool_of(g, 120, 0xB0B);
-  const RRRPool pool_b = pool_of(g, 400, 0xB0B);
+  const SegmentedPool pool_a = pool_of(g, 120, 0xB0B);
+  const SegmentedPool pool_b = pool_of(g, 400, 0xB0B);
 
   SelectionOptions options;
   options.k = 6;
@@ -92,7 +92,7 @@ TEST(SelectionWorkspace, ReloadsFusedBaseCountersBetweenRounds) {
   // build, and the workspace must reload them (not accumulate on top of
   // the previous round's state) on every call.
   const DiffusionGraph g = test_graph(31);
-  const RRRPool pool = pool_of(g, 200, 0xC0DE);
+  const SegmentedPool pool = pool_of(g, 200, 0xC0DE);
   CounterArray base(g.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     pool[i].for_each([&](VertexId v) { base.increment(v); });
@@ -118,7 +118,7 @@ TEST(SelectionWorkspace, ReloadsFusedBaseCountersBetweenRounds) {
 
 TEST(SelectionWorkspace, RipplesKernelSharesAliveScratch) {
   const DiffusionGraph g = test_graph(37);
-  const RRRPool pool = pool_of(g, 150, 0xD1CE);
+  const SegmentedPool pool = pool_of(g, 150, 0xD1CE);
   SelectionOptions options;
   options.k = 4;
   const SelectionEngine engine = engine_with(1);

@@ -17,8 +17,7 @@ SketchStore make_sampled_store(const std::string& workload,
                                DiffusionModel model, std::size_t sets,
                                std::size_t k_max, std::uint64_t seed = 42) {
   const DiffusionGraph g = make_workload_with_weights(workload, model, 0.01);
-  return SketchStore::from_pool(testing::sample_pool(g, model, sets, seed),
-                                k_max);
+  return testing::freeze(testing::sample_pool(g, model, sets, seed), k_max);
 }
 
 TEST(QueryEngine, TopKPrefixMatchesLiveKernel) {
@@ -107,10 +106,13 @@ TEST(QueryEngine, ConstrainedQueryMatchesEfficientSelectWithMask) {
   // an eligibility mask must agree seed-for-seed on the same pool.
   const DiffusionGraph g = make_workload_with_weights(
       "com-YouTube", DiffusionModel::kIndependentCascade, 0.01);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 300, 5);
+  const auto sample = [&] {
+    return testing::sample_pool(g, DiffusionModel::kIndependentCascade, 300,
+                                5);
+  };
+  const SegmentedPool pool = sample();
   const std::size_t k = 6;
-  const SketchStore store = SketchStore::from_pool(pool, k);
+  const SketchStore store = testing::freeze(sample(), k);
   const QueryEngine engine(store);
 
   QueryOptions q;
@@ -134,9 +136,12 @@ TEST(QueryEngine, ConstrainedQueryMatchesEfficientSelectWithMask) {
 TEST(QueryEngine, EvaluateMatchesBruteForceUnion) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 200, 31);
-  const SketchStore store = SketchStore::from_pool(pool, 4);
+  const auto sample = [&] {
+    return testing::sample_pool(g, DiffusionModel::kIndependentCascade, 200,
+                                31);
+  };
+  const SegmentedPool pool = sample();
+  const SketchStore store = testing::freeze(sample(), 4);
   const QueryEngine engine(store);
 
   const std::vector<VertexId> seeds = {5, 9, 5, 40};  // duplicate on purpose

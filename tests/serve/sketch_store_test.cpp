@@ -15,9 +15,8 @@ namespace eimm {
 namespace {
 
 TEST(SketchStore, FreezesHandBuiltPoolIntoCsrLayout) {
-  const RRRPool pool =
-      testing::make_pool(5, {{0, 1}, {1, 2}, {3}, {1}});
-  const SketchStore store = SketchStore::from_pool(pool, 3);
+  const SketchStore store =
+      testing::freeze(testing::make_pool(5, {{0, 1}, {1, 2}, {3}, {1}}), 3);
 
   EXPECT_EQ(store.num_vertices(), 5u);
   EXPECT_EQ(store.num_sketches(), 4u);
@@ -48,9 +47,12 @@ TEST(SketchStore, FreezesHandBuiltPoolIntoCsrLayout) {
 TEST(SketchStore, InvertedIndexMatchesMembershipOnSampledPool) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 200, 99, /*adaptive=*/true);
-  const SketchStore store = SketchStore::from_pool(pool, 5);
+  const auto sample = [&] {
+    return testing::sample_pool(g, DiffusionModel::kIndependentCascade, 200,
+                                99, bitmap_cutoff(g.num_vertices()));
+  };
+  const SegmentedPool pool = sample();
+  const SketchStore store = testing::freeze(sample(), 5);
 
   for (VertexId v = 0; v < store.num_vertices(); ++v) {
     std::vector<SketchId> expected;
@@ -66,17 +68,20 @@ TEST(SketchStore, InvertedIndexMatchesMembershipOnSampledPool) {
 }
 
 TEST(SketchStore, SketchesRoundTripBitmapRepresentation) {
-  // A dense set crosses the bitmap threshold; flatten must expand it back
-  // to the identical sorted vertex run.
+  // A dense set crosses the bitmap threshold; freezing must expand it
+  // back to the identical sorted vertex run.
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kIndependentCascade, 100, 7, /*adaptive=*/true);
+  const auto sample = [&] {
+    return testing::sample_pool(g, DiffusionModel::kIndependentCascade, 100,
+                                7, bitmap_cutoff(g.num_vertices()));
+  };
+  const SegmentedPool pool = sample();
   ASSERT_GT(pool.bitmap_count(), 0u) << "test needs at least one bitmap set";
-  const SketchStore store = SketchStore::from_pool(pool, 5);
+  const SketchStore store = testing::freeze(sample(), 5);
 
   for (std::size_t s = 0; s < pool.size(); ++s) {
-    const std::vector<VertexId> expected = pool[s].to_vector();
+    const std::vector<VertexId> expected = testing::members_of(pool[s]);
     const auto actual = store.sketch(static_cast<SketchId>(s));
     ASSERT_EQ(actual.size(), expected.size()) << "sketch " << s;
     EXPECT_TRUE(std::equal(actual.begin(), actual.end(), expected.begin()))
@@ -87,10 +92,13 @@ TEST(SketchStore, SketchesRoundTripBitmapRepresentation) {
 TEST(SketchStore, DefaultSequenceMatchesEfficientSelect) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-YouTube", DiffusionModel::kLinearThreshold, 0.01);
-  const RRRPool pool = testing::sample_pool(
-      g, DiffusionModel::kLinearThreshold, 300, 1234);
+  const auto sample = [&] {
+    return testing::sample_pool(g, DiffusionModel::kLinearThreshold, 300,
+                                1234);
+  };
+  const SegmentedPool pool = sample();
   const std::size_t k = 8;
-  const SketchStore store = SketchStore::from_pool(pool, k);
+  const SketchStore store = testing::freeze(sample(), k);
 
   CounterArray counters(pool.num_vertices());
   SelectionOptions sopt;
@@ -123,10 +131,8 @@ TEST(SketchStore, BuildRecordsProvenance) {
 }
 
 TEST(SketchStore, RejectsDegeneratePools) {
-  const RRRPool pool = testing::make_pool(3, {{0}});
-  EXPECT_THROW(SketchStore::from_pool(pool, 0), CheckError);
-  const RRRPool empty_vertices(0);
-  EXPECT_THROW(SketchStore::from_pool(empty_vertices, 1), CheckError);
+  EXPECT_THROW(testing::freeze(testing::make_pool(3, {{0}}), 0), CheckError);
+  EXPECT_THROW(testing::freeze(SegmentedPool(0), 1), CheckError);
 }
 
 // --- Deferred-flatten (zero-copy freeze) semantics ---
@@ -148,25 +154,23 @@ TEST(SketchStore, BuildDefersFlattenUntilSave) {
   EXPECT_FALSE(store.flat());
   EXPECT_GT(store.num_sketches(), 0u);
 
-  // The deferred store must be logically identical to the eager
-  // from_pool freeze of the same build's flattened image.
+  // The deferred store must be logically identical to a flat store
+  // frozen from a copy of the same build's flattened image.
   const PoolBuild reference_build =
       build_rrr_pool(g, options, Engine::kEfficient);
-  RRRPool reference(g.num_vertices());
-  reference.resize(reference_build.size());
+  std::vector<std::vector<VertexId>> sets(reference_build.size());
   {
     const FlatPool flat = reference_build.view().flatten();
-    for (std::size_t s = 0; s < reference.size(); ++s) {
-      reference[s] = RRRSet::make_vector(std::vector<VertexId>(
-          flat.vertices.begin() +
-              static_cast<std::ptrdiff_t>(flat.offsets[s]),
-          flat.vertices.begin() +
-              static_cast<std::ptrdiff_t>(flat.offsets[s + 1])));
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      sets[s].assign(flat.vertices.begin() +
+                         static_cast<std::ptrdiff_t>(flat.offsets[s]),
+                     flat.vertices.begin() +
+                         static_cast<std::ptrdiff_t>(flat.offsets[s + 1]));
     }
   }
-  SketchStoreMeta meta = store.meta();
-  const SketchStore eager =
-      SketchStore::from_pool(reference, options.k, std::move(meta));
+  SketchStore eager = testing::freeze(
+      testing::make_pool(g.num_vertices(), sets), options.k, store.meta());
+  eager.materialize_flat();
   EXPECT_TRUE(eager.flat());
   EXPECT_TRUE(store == eager);
   EXPECT_TRUE(

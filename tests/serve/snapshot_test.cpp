@@ -4,8 +4,12 @@
 // CheckError instead of UB (the suite runs under the asan preset in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
@@ -68,6 +72,49 @@ TEST(SketchSnapshot, FileRoundTrip) {
   store.save_file(path);
   const SketchStore loaded = SketchStore::load_file(path);
   EXPECT_TRUE(store == loaded);
+}
+
+/// A forward-only byte source, like a pipe: it hands the bytes out a
+/// few hundred at a time and cannot seek.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(777, bytes_.size() - pos_);
+    char* begin = bytes_.data() + pos_;
+    setg(begin, begin, begin + n);
+    pos_ += n;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+};
+
+TEST(SketchSnapshot, NonSeekableStreamLoadsLikeTheFile) {
+  const SketchStore store = make_store();
+  const std::string path = ::testing::TempDir() + "/eimm_store_pipe.sks";
+  store.save_file(path);
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  // Larger than the first mapping the stream is read into, so the
+  // mapping has to grow while the bytes arrive.
+  ASSERT_GT(bytes.size(), std::size_t{1} << 16);
+
+  TrickleBuf source(bytes);
+  std::istream is(&source);
+  ASSERT_EQ(is.tellg(), std::streampos(-1)) << "source must not seek";
+  const SketchStore streamed = SketchStore::load(is);
+  const SketchStore mapped = SketchStore::load_file(path);
+  EXPECT_TRUE(streamed == mapped);
+  std::stringstream resaved;
+  streamed.save(resaved);
+  EXPECT_EQ(resaved.str(), bytes);
 }
 
 TEST(SketchSnapshot, MissingFileThrows) {

@@ -77,10 +77,10 @@ TEST(PoolViewDeterminism, ShardPinCounterShardGridMatchesFlatReference) {
 }
 
 TEST(PoolViewDeterminism, SelectionOverSegmentsMatchesSelectionOverPool) {
-  // Engine-level cross-backing check, independent of run_imm: the same
-  // set contents behind a SegmentedPool view (sorted and bitmap runs) and
-  // behind a legacy RRRPool must select identically, for both counter
-  // layouts.
+  // Engine-level cross-layout check, independent of run_imm: the same
+  // set contents behind the sharded build's view and behind the serial
+  // reference pool (one arena, sorted and bitmap runs) must select
+  // identically, for both counter layouts.
   const DiffusionGraph g = statcheck_workload(
       "com-DBLP", DiffusionModel::kIndependentCascade, 0.03);
   auto opt = statcheck_imm_options(DiffusionModel::kIndependentCascade, 6);
@@ -91,8 +91,9 @@ TEST(PoolViewDeterminism, SelectionOverSegmentsMatchesSelectionOverPool) {
   opt.fused_sampling = FusedSampling::kOff;
   const PoolBuild segmented = build_rrr_pool(g, opt, Engine::kEfficient);
 
-  const RRRPool reference = testing::sample_pool(
-      g, opt.model, segmented.size(), opt.rng_seed, /*adaptive=*/true);
+  const SegmentedPool reference =
+      testing::sample_pool(g, opt.model, segmented.size(), opt.rng_seed,
+                           bitmap_cutoff(g.num_vertices()));
 
   SelectionOptions sopt;
   sopt.k = opt.k;
@@ -145,8 +146,8 @@ TEST(PoolViewDeterminism, SegmentedFlattenBitMatchesOneShotImage) {
 
   const FlatPool a = build.view().flatten();
   const FlatPool b = RRRPoolView(one_shot).flatten();
-  const FlatPool c = testing::sample_pool(g, opt.model, build.size(),
-                                          opt.rng_seed)
+  const FlatPool c = RRRPoolView(testing::sample_pool(
+                                     g, opt.model, build.size(), opt.rng_seed))
                          .flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);

@@ -60,9 +60,10 @@ TEST(ShardedDeterminism, ShardsOneBitMatchesSerialReferenceSampler) {
   EXPECT_EQ(build.shards_used, 1);
 
   // The serial reference: one RRR set per index from (seed, index).
-  const RRRPool reference = testing::sample_pool(
-      g, opt.model, build.size(), opt.rng_seed, /*adaptive=*/true);
-  expect_flat_equal(build.view().flatten(), reference.flatten());
+  const SegmentedPool reference =
+      testing::sample_pool(g, opt.model, build.size(), opt.rng_seed,
+                           bitmap_cutoff(g.num_vertices()));
+  expect_flat_equal(build.view().flatten(), RRRPoolView(reference).flatten());
 }
 
 TEST(ShardedDeterminism, EnvShardsOneBitMatchesExplicitShardsOne) {

@@ -2,9 +2,12 @@
 // diffusion weights, pool-building shortcuts, and environment scoping.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,7 +16,10 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "rrr/generate.hpp"
-#include "rrr/pool.hpp"
+#include "rrr/pool_view.hpp"
+#include "serve/sketch_store.hpp"
+#include "support/bits.hpp"
+#include "support/macros.hpp"
 
 namespace eimm::testing {
 
@@ -73,31 +79,80 @@ inline void set_uniform_probability(DiffusionGraph& g, float p) {
   }
 }
 
-/// Builds a pool from explicit vertex lists (vector representation).
-inline RRRPool make_pool(VertexId n,
-                         const std::vector<std::vector<VertexId>>& sets) {
-  RRRPool pool(n);
+/// make_pool / sample_pool cutoff that keeps every set a sorted run.
+inline constexpr std::size_t kRunsOnly =
+    std::numeric_limits<std::size_t>::max();
+
+/// Stores `members` (any order) as slot `i` of `pool`, in arena 0: a
+/// bitmap run when it has at least `cutoff` members, a sorted run
+/// otherwise — the two encodings the sharded sampler stages. Expects
+/// pool.ensure_workers(1) to have run.
+inline void store_set(SegmentedPool& pool, std::size_t i,
+                      std::vector<VertexId> members, std::size_t cutoff) {
+  ShardArena& arena = pool.arena(0);
+  if (members.size() < cutoff) {
+    std::sort(members.begin(), members.end());
+    pool.set_run(i, arena.view(arena.append(members)));
+    return;
+  }
+  const std::span<std::uint64_t> bits =
+      arena.allocate_bitmap(words_for_bits(pool.num_vertices()));
+  std::size_t count = 0;
+  for (const VertexId v : members) {
+    EIMM_CHECK(v < pool.num_vertices(), "vertex id out of bitmap range");
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    count += (bits[v >> 6] & bit) == 0 ? 1 : 0;
+    bits[v >> 6] |= bit;
+  }
+  pool.set_bitmap(i, bits.data(), count);
+}
+
+/// Builds a pool from explicit vertex lists; sets of at least `cutoff`
+/// members become bitmap runs.
+inline SegmentedPool make_pool(VertexId n,
+                               const std::vector<std::vector<VertexId>>& sets,
+                               std::size_t cutoff = kRunsOnly) {
+  SegmentedPool pool(n);
   pool.resize(sets.size());
+  pool.ensure_workers(1);
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    pool[i] = RRRSet::make_vector(sets[i]);
+    store_set(pool, i, sets[i], cutoff);
   }
   return pool;
 }
 
-/// Samples `count` RRR sets into a pool (serial, deterministic).
-inline RRRPool sample_pool(const DiffusionGraph& g, DiffusionModel model,
-                           std::size_t count, std::uint64_t seed,
-                           bool adaptive = false) {
-  RRRPool pool(g.num_vertices());
+/// Samples `count` RRR sets into a pool with the serial per-index
+/// sampler (the reference the sharded sampler is checked against); sets
+/// of at least `cutoff` members become bitmap runs.
+inline SegmentedPool sample_pool(const DiffusionGraph& g,
+                                 DiffusionModel model, std::size_t count,
+                                 std::uint64_t seed,
+                                 std::size_t cutoff = kRunsOnly) {
+  SegmentedPool pool(g.num_vertices());
   pool.resize(count);
+  pool.ensure_workers(1);
   SamplerScratch scratch(g.num_vertices());
   for (std::size_t i = 0; i < count; ++i) {
-    auto verts = sample_rrr(g.reverse, model, seed, i, scratch);
-    pool[i] = adaptive ? RRRSet::make_adaptive(std::move(verts),
-                                               g.num_vertices())
-                       : RRRSet::make_vector(std::move(verts));
+    store_set(pool, i, sample_rrr(g.reverse, model, seed, i, scratch),
+              cutoff);
   }
   return pool;
+}
+
+/// Freezes `pool` into a SketchStore through the zero-copy build path.
+inline SketchStore freeze(SegmentedPool pool, std::size_t k_max,
+                          SketchStoreMeta meta = {}) {
+  PoolBuild build;
+  build.segments = std::move(pool);
+  return SketchStore::from_build(std::move(build), k_max, std::move(meta));
+}
+
+/// Members of one set, ascending.
+inline std::vector<VertexId> members_of(const RRRSetView& set) {
+  std::vector<VertexId> out;
+  out.reserve(set.size());
+  set.for_each([&](VertexId v) { out.push_back(v); });
+  return out;
 }
 
 }  // namespace eimm::testing
